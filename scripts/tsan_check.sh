@@ -17,19 +17,19 @@
 # Since the telemetry-plane PR it also covers the HTTP exporter (scrape
 # threads racing a live coordinator round) and the round ledger's
 # coordinator wiring, plus the snapshot-vs-Reset stress in test_metrics.
-# Since the parallel-round-engine PR it also covers the owner fan-out
+# Since the parallel round engine PR it also covers the owner fan-out
 # (test_round_engine: concurrent train/mask/payload against the
 # allocation-free ParallelFor), the batched Shamir recovery under a pool
 # (test_shamir, test_dropout_recovery) and bench_e2e_rounds --quick,
-# whose serial-vs-parallel sessions run the whole protocol both ways.
+# whose pool-1 and pool-N sessions run the whole protocol both ways.
 # Since the byzantine-hardening PR it also covers the Feldman share
 # verification (test_vss, batched ModPow under a pool) and the full
-# accusation/slashing path on both round engines (test_byzantine), where
-# slash transactions race the parallel owner fan-out.
+# accusation/slashing path at pool sizes 1 and 3 (test_byzantine), where
+# slash transactions race the owner fan-out.
 # Since the durable-persistence PR it also covers kill/restart recovery
-# (test_resume, reduced to the parallel-engine cases): the block-log
-# commit sink and checkpoint writes interleave with the hot owner
-# fan-out, and the resumed session must still be bit-identical.
+# (test_resume, reduced to the multi-worker cases): the block-log commit
+# sink and checkpoint writes interleave with the hot owner fan-out, and
+# the resumed session must still be bit-identical.
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -49,8 +49,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   test_metrics test_tracer test_http_exporter test_round_ledger \
   test_fault test_chaos \
   test_round_engine test_shamir test_vss test_dropout_recovery \
-  test_byzantine test_sig_cache test_merkle test_resume bench_kernels \
-  bench_chain_throughput bench_e2e_rounds
+  test_byzantine test_sig_cache test_merkle test_resume \
+  test_golden_sessions bench_kernels bench_chain_throughput bench_e2e_rounds
 
 # halt_on_error: fail the script on the first race instead of limping on.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
@@ -71,15 +71,19 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 "$BUILD_DIR/tests/test_vss"
 "$BUILD_DIR/tests/test_dropout_recovery"
 # Byzantine coordinator rounds under TSan: slash transactions landing
-# during recovery while the parallel engine's owner fan-out is hot.
+# during recovery while a three-worker owner fan-out is hot.
 "$BUILD_DIR/tests/test_byzantine" \
-  --gtest_filter='Engines/SlashEqualsCrashTest.BadShareForgerDuringRecovery/Parallel:ByzantineTest.MixedByzantinePlanIsEngineModeInvariant'
+  --gtest_filter='Engines/SlashEqualsCrashTest.BadShareForgerDuringRecovery/Parallel:ByzantineTest.MixedByzantinePlanIsPoolSizeInvariant'
 "$BUILD_DIR/tests/test_sig_cache"
 "$BUILD_DIR/tests/test_merkle"
-# Kill/restart under TSan, reduced to the parallel-engine cases where
+# Kill/restart under TSan, reduced to the three-worker cases where
 # checkpoint/block-log writes race the owner fan-out.
 "$BUILD_DIR/tests/test_resume" \
   --gtest_filter='ResumeTest.ParallelKillMidSessionResumesBitIdentical:ResumeTest.ResumeSurvivesFaultsBesidesTheKill'
+# The golden session matrix under TSan (clean, dropout, byzantine,
+# kill/resume, reward): every session at pool sizes 1 and 3 must still
+# land the digests committed in tests/golden/sessions.json.
+"$BUILD_DIR/tests/test_golden_sessions"
 # Chaos under TSan: full faulted protocol runs (coordinator + consensus
 # + recovery) with a reduced sweep — TSan is ~10x slower per seed.
 BCFL_CHAOS_SEEDS="${BCFL_CHAOS_SEEDS:-2}" "$BUILD_DIR/tests/test_chaos"

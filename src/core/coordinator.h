@@ -62,14 +62,10 @@ struct BcflConfig {
   uint64_t submit_backoff_us = 10'000;
   /// Submission attempts before the coordinator gives an owner up.
   uint32_t max_submit_attempts = 5;
-  /// How the per-owner phase of each round executes. kParallel fans
+  /// Worker threads for the round engine, which fans each round's
   /// train/mask/payload work across a thread pool and replays submissions
-  /// in canonical owner order — bit-identical to kSerial for any pool
-  /// size. Overridable at runtime with BCFL_ROUND_REFERENCE=1 (forces
-  /// serial, no rebuild).
-  RoundEngineMode round_engine = RoundEngineMode::kParallel;
-  /// Worker threads for the round engine's fan-out; 0 = one per hardware
-  /// thread. Ignored in serial mode.
+  /// in canonical owner order — bit-identical for any pool size. 0 = one
+  /// per hardware thread.
   size_t pool_threads = 0;
   /// Retain every owner's full local model per round in
   /// `BcflRunResult::per_round_locals`. Off by default: retention costs
@@ -128,6 +124,16 @@ struct BcflRunResult {
   uint64_t reward_burned = 0;
 };
 
+/// Deterministic end-of-session fingerprint as one JSON object: the
+/// canonical chain tip (height, hash), the commit / transaction /
+/// recovery / retry / slash counts and SHA-256 digests of the SV history
+/// (totals, then every round), the final global weights and the
+/// per-round accuracies. A pure function of the protocol run — no wall
+/// clock, no process-local counters — so kill/resume runs, pool sizes and
+/// tests/golden/sessions.json compare it byte for byte.
+std::string SessionSummaryJson(const chain::Blockchain& chain,
+                               const BcflRunResult& result);
+
 /// Drives the full protocol of Sect. IV-B on the simulated blockchain:
 /// off-chain setup (key generation, parameter agreement, setup tx),
 /// R training rounds (local training -> masked submissions as signed
@@ -159,13 +165,8 @@ class BcflCoordinator {
   fault::FaultInjector* fault_injector() { return injector_.get(); }
   /// Shamir threshold of the distributed recovery shares.
   size_t recovery_threshold() const { return threshold_; }
-  /// The round-engine mode actually in effect (config +
-  /// BCFL_ROUND_REFERENCE override, resolved at Create).
-  RoundEngineMode round_engine_mode() const { return engine_mode_; }
-  /// Pool threads in use (1 in serial mode / no pool).
-  size_t pool_threads_in_use() const {
-    return pool_ != nullptr ? pool_->num_threads() : 1;
-  }
+  /// Round-engine pool threads in use.
+  size_t pool_threads_in_use() const { return pool_->num_threads(); }
 
   /// Attaches an opened protocol ledger: Run() then appends one
   /// structured record per FL round (phase latencies, sig-cache hit
@@ -218,29 +219,15 @@ class BcflCoordinator {
  private:
   BcflCoordinator() = default;
 
-  /// Builds, signs and submits one owner's masked update for `round`.
-  Status SubmitOwnerUpdate(uint32_t owner, uint64_t round,
-                           const ml::Matrix& local_weights,
-                           const std::vector<std::vector<size_t>>& groups);
-
-  /// Submission with deadline/retry semantics: lost attempts back off
-  /// exponentially on the simulated clock until the round deadline.
+  /// Replay half of a round: signs and submits the masked payload the
+  /// round engine prebuilt, with deadline/retry semantics — lost attempts
+  /// back off exponentially on the simulated clock until the round
+  /// deadline. Runs on the coordinator thread in canonical owner order, so
+  /// the clock and session-RNG sequences do not depend on the pool size.
   /// Returns false when the owner missed the deadline (a dropout).
   Result<bool> SubmitWithRetries(uint32_t owner, uint64_t round,
-                                 const ml::Matrix& local_weights,
-                                 const std::vector<std::vector<size_t>>& groups,
-                                 uint64_t deadline_us,
+                                 const Bytes& payload, uint64_t deadline_us,
                                  BcflRunResult* result);
-
-  /// Replay half of the parallel path: same deadline/retry/backoff state
-  /// machine as SubmitWithRetries, but the masked payload was prebuilt by
-  /// the round engine — only signing (which consumes the session RNG) and
-  /// submission happen here, on the coordinator thread, so the clock and
-  /// RNG sequences match the serial path exactly.
-  Result<bool> SubmitPreparedWithRetries(uint32_t owner, uint64_t round,
-                                         const Bytes& payload,
-                                         uint64_t deadline_us,
-                                         BcflRunResult* result);
 
   /// Drives the on-chain `recover` transaction for every owner in
   /// `missing`: collects Shamir shares from online survivors (fails
@@ -253,13 +240,6 @@ class BcflCoordinator {
   Status RecoverMissingOwners(uint64_t round,
                               const std::set<uint32_t>& missing,
                               BcflRunResult* result);
-
-  /// Builds (but does not submit) one owner's masked submit_update
-  /// payload, byzantine perturbations included — the serial twin of the
-  /// round engine's per-slot preparation.
-  Result<Bytes> BuildSubmitPayload(
-      uint32_t owner, uint64_t round, const ml::Matrix& local_weights,
-      const std::vector<std::vector<size_t>>& groups);
 
   /// Lowest online, un-retired owner other than `excluding` — the party
   /// that signs accusation transactions (any registered owner may; the
@@ -322,9 +302,8 @@ class BcflCoordinator {
   /// Owners retired by a committed recovery, with the retirement round.
   std::map<uint32_t, uint64_t> retired_;
   obs::RoundLedger* ledger_ = nullptr;
-  /// Round-engine state (parallel mode): the pool, the engine fanning
-  /// owner work across it, and the reusable per-round scratch arena.
-  RoundEngineMode engine_mode_ = RoundEngineMode::kParallel;
+  /// Round-engine state: the pool, the engine fanning owner work across
+  /// it, and the reusable per-round scratch arena.
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<RoundEngine> round_engine_;
   RoundScratch round_scratch_;

@@ -1,43 +1,12 @@
 #include "core/round_engine.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/sim_clock.h"
 #include "core/fl_contract.h"
 #include "secureagg/fixed_point.h"
 
 namespace bcfl::core {
-
-const char* RoundEngineModeName(RoundEngineMode mode) {
-  return mode == RoundEngineMode::kSerial ? "serial" : "parallel";
-}
-
-RoundEngineMode ResolveRoundEngineMode(RoundEngineMode configured) {
-  const char* env = std::getenv("BCFL_ROUND_REFERENCE");
-  if (env != nullptr && std::strlen(env) > 0 && std::strcmp(env, "0") != 0) {
-    return RoundEngineMode::kSerial;
-  }
-  return configured;
-}
-
-namespace byzantine {
-
-ml::Matrix PoisonedWeights(const ml::Matrix& local, double magnitude) {
-  return local.Scaled(magnitude);
-}
-
-void CorruptMaskedUpdate(uint64_t round, uint32_t owner,
-                         std::vector<uint64_t>* masked) {
-  // Seeded from (round, owner) only: the corruption an owner submits is a
-  // property of the owner's misbehavior, not of which engine ran it.
-  SplitMix64 stream(((round + 1) * 0x9e3779b97f4a7c15ULL) ^
-                    ((static_cast<uint64_t>(owner) << 32) | 0xbadc0deULL));
-  for (uint64_t& word : *masked) word += stream.Next();
-}
-
-}  // namespace byzantine
 
 void RoundScratch::Reset(size_t num_owners) {
   if (slots.size() != num_owners) slots.resize(num_owners);
@@ -53,6 +22,18 @@ void RoundScratch::Reset(size_t num_owners) {
 }
 
 namespace {
+
+/// An inconsistent-mask owner's submission (PR 9): the honestly masked
+/// vector plus a deterministic per-(round, owner) SplitMix64 garbage
+/// stream. The garbage never cancels against any peer's mask, so the
+/// group's decoded aggregate lands far outside the honest envelope and
+/// the contract's norm gate flags it.
+void CorruptMaskedUpdate(uint64_t round, uint32_t owner,
+                         std::vector<uint64_t>* masked) {
+  SplitMix64 stream(((round + 1) * 0x9e3779b97f4a7c15ULL) ^
+                    ((static_cast<uint64_t>(owner) << 32) | 0xbadc0deULL));
+  for (uint64_t& word : *masked) word += stream.Next();
+}
 
 /// Seed of owner `i`'s round stream: a SplitMix64 walk over (session
 /// seed, round, owner), so streams are decorrelated across all three
@@ -120,17 +101,17 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
     slot.local = std::move(local).value();
     slot.train_us = train_timer.ElapsedSeconds() * 1e6;
     Stopwatch prepare_timer;
-    // Byzantine perturbations (PR 9): a poisoning owner encodes scaled
-    // weights (slot.local stays the honest model, matching what the
-    // serial path records in per_round_locals); an inconsistent-mask
-    // owner corrupts the masked vector after honest masking. Injector
-    // queries are const per-round sets — safe from workers.
+    // Byzantine perturbations (PR 9): a poisoning owner encodes its
+    // weights scaled by the `poison-update *m` magnitude (slot.local stays
+    // the honest model, which is what per_round_locals records); an
+    // inconsistent-mask owner corrupts the masked vector after honest
+    // masking. Injector queries are const per-round sets — safe from
+    // workers.
     const double poison =
         deps_.injector != nullptr ? deps_.injector->OwnerPoisonMagnitude(i)
                                   : 0.0;
     if (poison != 0.0) {
-      codec.EncodeMatrixInto(byzantine::PoisonedWeights(slot.local, poison),
-                             &slot.encoded);
+      codec.EncodeMatrixInto(slot.local.Scaled(poison), &slot.encoded);
     } else {
       codec.EncodeMatrixInto(slot.local, &slot.encoded);
     }
@@ -142,7 +123,7 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
       return;
     }
     if (deps_.injector != nullptr && deps_.injector->OwnerInconsistentMask(i)) {
-      byzantine::CorruptMaskedUpdate(round, i, &slot.masked);
+      CorruptMaskedUpdate(round, i, &slot.masked);
     }
     slot.payload = FlContract::EncodeSubmitUpdate(round, i, slot.masked);
     slot.prepare_us = prepare_timer.ElapsedSeconds() * 1e6;
@@ -154,8 +135,8 @@ Status RoundEngine::PrepareOwners(uint64_t round, const ml::Matrix& global,
   }
   stats->fanout_wall_us = fanout_timer.ElapsedSeconds() * 1e6;
 
-  // Surface the lowest-indexed owner's error — what a serial loop would
-  // hit first — and fold the per-owner walls into the ledger stats.
+  // Surface the lowest-indexed owner's error — the same one at every pool
+  // size — and fold the per-owner walls into the ledger stats.
   for (uint32_t i : active) {
     const OwnerRoundSlot& slot = scratch->slots[i];
     if (!slot.status.ok()) return slot.status;

@@ -145,6 +145,11 @@ TEST_F(BlockLogTest, BadMagicFailsClosed) {
   EXPECT_TRUE(BlockLog::Open(LogPath()).status().IsCorruption());
 }
 
+TEST_F(BlockLogTest, UnsupportedVersionIsRejected) {
+  WriteFileBytes(LogPath(), std::string("BCLG\x02\x00\x00\x00", 8));
+  EXPECT_TRUE(BlockLog::Open(LogPath()).status().IsUnimplemented());
+}
+
 // Crash-consistency fuzz: truncate the file at EVERY byte boundary inside
 // the last record. Each prefix must recover to exactly the settled blocks
 // (the torn tail dropped), never to a half-loaded record.

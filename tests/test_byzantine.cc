@@ -1,7 +1,7 @@
 // Byzantine participant hardening, end to end (PR 9): forged shares,
 // equivocation, poisoned updates and inconsistent masks are detected,
 // slashed on chain, and degrade the round exactly as a crash of the same
-// owner would — on both round engines.
+// owner would — at round engine pool sizes 1 and 3.
 
 #include <gtest/gtest.h>
 
@@ -31,10 +31,9 @@ BcflConfig ByzantineConfig() {
 }
 
 Result<BcflRunResult> RunPlan(BcflConfig config, const std::string& plan,
-                              RoundEngineMode mode) {
+                              size_t pool_threads) {
   config.fault_plan = *fault::FaultPlan::Parse(plan);
-  config.round_engine = mode;
-  if (mode == RoundEngineMode::kParallel) config.pool_threads = 3;
+  config.pool_threads = pool_threads;
   auto coordinator = BcflCoordinator::Create(config);
   if (!coordinator.ok()) return coordinator.status();
   return (*coordinator)->Run();
@@ -46,10 +45,10 @@ Result<BcflRunResult> RunPlan(BcflConfig config, const std::string& plan,
 void ExpectSlashEqualsCrash(const BcflConfig& config,
                             const std::string& byzantine_plan,
                             const std::string& crash_plan,
-                            RoundEngineMode mode) {
-  auto byz = RunPlan(config, byzantine_plan, mode);
+                            size_t pool_threads) {
+  auto byz = RunPlan(config, byzantine_plan, pool_threads);
   ASSERT_TRUE(byz.ok()) << byz.status().ToString();
-  auto crash = RunPlan(config, crash_plan, mode);
+  auto crash = RunPlan(config, crash_plan, pool_threads);
   ASSERT_TRUE(crash.ok()) << crash.status().ToString();
   EXPECT_EQ(byz->per_round_sv, crash->per_round_sv);
   EXPECT_EQ(byz->total_sv, crash->total_sv);
@@ -60,8 +59,16 @@ void ExpectSlashEqualsCrash(const BcflConfig& config,
   EXPECT_FALSE(byz->slashed_at.empty());
 }
 
-class SlashEqualsCrashTest
-    : public ::testing::TestWithParam<RoundEngineMode> {};
+/// Round-engine pool widths under test: one worker runs the owners
+/// serially, three run them in parallel.
+enum class Pool { kSerial, kParallel };
+
+size_t Threads(Pool pool) { return pool == Pool::kSerial ? 1 : 3; }
+
+class SlashEqualsCrashTest : public ::testing::TestWithParam<Pool> {
+ protected:
+  size_t pool_threads() const { return Threads(GetParam()); }
+};
 
 TEST_P(SlashEqualsCrashTest, BadShareForgerDuringRecovery) {
   // Owner 1 crashes; during its recovery owner 3 reveals a forged share,
@@ -69,9 +76,9 @@ TEST_P(SlashEqualsCrashTest, BadShareForgerDuringRecovery) {
   // had crashed alongside owner 1.
   BcflConfig config = ByzantineConfig();
   ExpectSlashEqualsCrash(config, "crash owner 1 @1; bad-share owner 3 @1",
-                         "crash owner 1 @1; crash owner 3 @1", GetParam());
+                         "crash owner 1 @1; crash owner 3 @1", pool_threads());
   auto byz = RunPlan(config, "crash owner 1 @1; bad-share owner 3 @1",
-                     GetParam());
+                     pool_threads());
   ASSERT_TRUE(byz.ok());
   ASSERT_EQ(byz->slashed_at.size(), 1u);
   EXPECT_EQ(byz->slashed_at.at(3), 1u);
@@ -81,30 +88,28 @@ TEST_P(SlashEqualsCrashTest, BadShareForgerDuringRecovery) {
 
 TEST_P(SlashEqualsCrashTest, EquivocatingSubmitter) {
   ExpectSlashEqualsCrash(ByzantineConfig(), "equivocate-submit owner 2 @1",
-                         "crash owner 2 @1", GetParam());
+                         "crash owner 2 @1", pool_threads());
 }
 
 TEST_P(SlashEqualsCrashTest, PoisonedUpdateCaughtByNormGate) {
   // Honest masking hides the poison from inspection; the norm gate on the
   // decoded aggregate flags the group and the audit convicts the poisoner.
   ExpectSlashEqualsCrash(ByzantineConfig(), "poison-update owner 4 @2 *50",
-                         "crash owner 4 @2", GetParam());
+                         "crash owner 4 @2", pool_threads());
 }
 
 TEST_P(SlashEqualsCrashTest, InconsistentMaskCaughtByNormGate) {
   // Garbage masks never cancel, so the decoded group aggregate explodes;
   // the audit unmasks the members and convicts the inconsistent one.
   ExpectSlashEqualsCrash(ByzantineConfig(), "inconsistent-mask owner 0 @1",
-                         "crash owner 0 @1", GetParam());
+                         "crash owner 0 @1", pool_threads());
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, SlashEqualsCrashTest,
-                         ::testing::Values(RoundEngineMode::kSerial,
-                                           RoundEngineMode::kParallel),
+                         ::testing::Values(Pool::kSerial, Pool::kParallel),
                          [](const auto& info) {
-                           return info.param == RoundEngineMode::kSerial
-                                      ? "Serial"
-                                      : "Parallel";
+                           return info.param == Pool::kSerial ? "Serial"
+                                                              : "Parallel";
                          });
 
 TEST(ByzantineTest, SlashIsCommittedOnChainByEveryMiner) {
@@ -150,17 +155,15 @@ TEST(ByzantineTest, SlashedOwnerRewardIsBurnedNotRedistributed) {
   EXPECT_GT(claimed, 0u);
 }
 
-TEST(ByzantineTest, MixedByzantinePlanIsEngineModeInvariant) {
-  // Equivocation at round 1 and poisoning at round 2 in one session: the
-  // parallel engine must land the identical chain.
+TEST(ByzantineTest, MixedByzantinePlanIsPoolSizeInvariant) {
+  // Equivocation at round 1 and poisoning at round 2 in one session: one
+  // worker and three must land the identical chain.
   BcflConfig config = ByzantineConfig();
   auto serial = RunPlan(
-      config, "equivocate-submit owner 2 @1; poison-update owner 4 @2 *50",
-      RoundEngineMode::kSerial);
+      config, "equivocate-submit owner 2 @1; poison-update owner 4 @2 *50", 1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   auto parallel = RunPlan(
-      config, "equivocate-submit owner 2 @1; poison-update owner 4 @2 *50",
-      RoundEngineMode::kParallel);
+      config, "equivocate-submit owner 2 @1; poison-update owner 4 @2 *50", 3);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   EXPECT_EQ(serial->per_round_sv, parallel->per_round_sv);
@@ -181,7 +184,7 @@ TEST(ByzantineTest, PoisonWithoutNormBoundGoesUndetected) {
   BcflConfig config = ByzantineConfig();
   config.update_norm_bound = 0.0;
   auto result =
-      RunPlan(config, "poison-update owner 4 @1 *50", RoundEngineMode::kParallel);
+      RunPlan(config, "poison-update owner 4 @1 *50", /*pool_threads=*/3);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->slashed_at.empty());
   EXPECT_TRUE(result->retired_at.empty());

@@ -139,20 +139,19 @@ TEST(DropoutRecoveryTest, UnsafeCrashPlanIsRejectedAtSetup) {
   EXPECT_FALSE(BcflCoordinator::Create(config).ok());
 }
 
-TEST(DropoutRecoveryTest, FaultedRunIsEngineModeInvariant) {
-  // The parallel round engine must not change what lands on chain, even
-  // when the round hits the full dropout/recovery machinery: crashes,
-  // eaten submissions, retirement, SV freezes.
+TEST(DropoutRecoveryTest, FaultedRunIsPoolSizeInvariant) {
+  // The round engine's pool size must not change what lands on chain,
+  // even when the round hits the full dropout/recovery machinery:
+  // crashes, eaten submissions, retirement, SV freezes.
   BcflConfig config = FaultableConfig();
   config.fault_plan = *fault::FaultPlan::Parse(
       "crash owner 2 @1; drop-submit owner 1 @2 x2");
-  config.round_engine = RoundEngineMode::kSerial;
+  config.pool_threads = 1;
   auto serial_coord = BcflCoordinator::Create(config);
   ASSERT_TRUE(serial_coord.ok());
   auto serial = (*serial_coord)->Run();
   ASSERT_TRUE(serial.ok());
 
-  config.round_engine = RoundEngineMode::kParallel;
   config.pool_threads = 3;
   auto parallel_coord = BcflCoordinator::Create(config);
   ASSERT_TRUE(parallel_coord.ok());
