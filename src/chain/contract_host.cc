@@ -74,14 +74,15 @@ Result<TxReceipt> ContractHost::ExecuteTransaction(const Transaction& tx,
     return receipt;
   }
 
-  // Execute on a scratch copy; merge only on success so a failed tx
+  // Journal the writes; a failed tx rolls them back in O(writes) so it
   // cannot leave partial writes behind.
-  ContractState scratch = state->Snapshot();
-  Status status = it->second->Execute(tx, &scratch);
+  state->BeginTx();
+  Status status = it->second->Execute(tx, state);
   if (status.ok()) {
-    *state = std::move(scratch);
+    state->CommitTx();
     receipt.success = true;
   } else {
+    state->RollbackTx();
     receipt.success = false;
     receipt.error = status.ToString();
   }

@@ -25,8 +25,8 @@ struct TxReceipt {
 ///
 /// Dispatches transactions to registered contracts, enforcing signature
 /// validity first. Failed transactions are recorded in receipts but do
-/// not mutate state (execution runs on a scratch snapshot that is only
-/// merged on success), so a block containing a bad transaction still
+/// not mutate state (each runs under the state's undo journal and is
+/// rolled back on failure), so a block containing a bad transaction still
 /// yields the same post-state on every honest miner.
 class ContractHost {
  public:

@@ -37,6 +37,12 @@ Result<Block> Miner::ProposeBlock(uint64_t timestamp_us, size_t max_txs) {
     behavior_.tamper_state(&scratch);
   }
   block.header.state_root = scratch.StateRoot();
+  if (behavior_.tamper_state) {
+    executed_.reset();  // A tampered state is never adopted.
+  } else {
+    executed_ = Executed{block.header.Hash(), block.header.prev_hash,
+                         std::move(scratch)};
+  }
   return block;
 }
 
@@ -69,17 +75,31 @@ Result<bool> Miner::ValidateProposal(const Block& block) {
   }
   const bool match = scratch.StateRoot() == block.header.state_root;
   (match ? accepted : rejected).Add();
+  if (match) {
+    executed_ = Executed{block.header.Hash(), block.header.prev_hash,
+                         std::move(scratch)};
+  }
   return match;
 }
 
 Status Miner::CommitBlock(const Block& block) {
   static auto& commit_us =
       obs::MetricsRegistry::Global().GetHistogram("chain.commit_us");
+  static auto& adopted =
+      obs::MetricsRegistry::Global().GetCounter("chain.commit.adopted");
   obs::ScopedLatency latency(commit_us);
-  ContractState scratch = state_.Snapshot();
-  BCFL_ASSIGN_OR_RETURN(std::vector<TxReceipt> receipts,
-                        host_->ExecuteBlock(block.txs, &scratch));
-  (void)receipts;
+  ContractState scratch;
+  if (executed_ && executed_->block_hash == block.header.Hash() &&
+      executed_->parent_hash == chain_.Tip().header.Hash()) {
+    scratch = std::move(executed_->post);
+    adopted.Add();
+  } else {
+    scratch = state_.Snapshot();
+    BCFL_ASSIGN_OR_RETURN(std::vector<TxReceipt> receipts,
+                          host_->ExecuteBlock(block.txs, &scratch));
+    (void)receipts;
+  }
+  executed_.reset();
   if (scratch.StateRoot() != block.header.state_root) {
     return Status::Corruption(
         "committed block does not re-execute to its state root");

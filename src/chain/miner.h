@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "chain/blockchain.h"
 #include "chain/contract_host.h"
@@ -38,19 +39,23 @@ class Miner {
   const MinerBehavior& behavior() const { return behavior_; }
 
   /// Leader role: executes pending transactions on a scratch state and
-  /// assembles the next block (committing nothing). A Byzantine
-  /// `tamper_state` hook corrupts the proposal here.
+  /// assembles the next block (committing nothing). An honest post-state
+  /// is kept for CommitBlock to adopt; a Byzantine `tamper_state` hook
+  /// corrupts the proposal here, and its state is never kept.
   Result<Block> ProposeBlock(uint64_t timestamp_us, size_t max_txs = 0);
 
   /// Validator role: structural checks plus full re-execution; true iff
   /// the proposer's state root matches this miner's own re-execution
-  /// (the verification protocol of Sect. III).
+  /// (the verification protocol of Sect. III). A matching post-state is
+  /// kept for CommitBlock to adopt.
   Result<bool> ValidateProposal(const Block& block);
 
-  /// Applies a block agreed by consensus: re-executes against the live
-  /// state, appends to the chain and evicts its transactions from the
-  /// mempool. Fails (leaving the replica untouched) if the block does
-  /// not re-execute to its claimed state root.
+  /// Applies a block agreed by consensus: adopts the kept post-state when
+  /// it was executed for this very block on the current tip, otherwise
+  /// re-executes against the live state (catch-up, resume replay, a lost
+  /// proposal); then appends to the chain and evicts its transactions
+  /// from the mempool. Fails (leaving the replica untouched) if the block
+  /// does not execute to its claimed state root.
   Status CommitBlock(const Block& block);
 
  private:
@@ -60,6 +65,15 @@ class Miner {
   ContractState state_;
   Mempool mempool_;
   MinerBehavior behavior_;
+
+  /// Post-state of this miner's last honest execution, keyed by the
+  /// block it executed and the tip it executed on.
+  struct Executed {
+    crypto::Digest block_hash{};
+    crypto::Digest parent_hash{};
+    ContractState post;
+  };
+  std::optional<Executed> executed_;
 };
 
 }  // namespace bcfl::chain

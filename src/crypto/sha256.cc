@@ -164,7 +164,9 @@ namespace {
 [[maybe_unused]] void PadMessage(const uint8_t* msg, size_t len,
                                  uint8_t* out) {
   size_t total = PaddedBlocks(len) * 64;
-  std::memcpy(out, msg, len);
+  // An empty message may come with a null pointer, which memcpy must
+  // not see.
+  if (len > 0) std::memcpy(out, msg, len);
   out[len] = 0x80;
   std::memset(out + len + 1, 0, total - len - 9);
   uint64_t bit_len = static_cast<uint64_t>(len) * 8;

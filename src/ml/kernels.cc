@@ -42,7 +42,9 @@ namespace reference {
 
 void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
           double* out) {
-  // The seed's i-k-j loop, zero-skip branch included.
+  // The seed's i-k-j loop, zero-skip branch included. An empty output
+  // may be a null pointer, which memset must not see.
+  if (ar * bc == 0) return;
   std::memset(out, 0, ar * bc * sizeof(double));
   for (size_t i = 0; i < ar; ++i) {
     const double* a_row = a + i * ac;
@@ -58,7 +60,9 @@ void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
 
 void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
                 size_t bc, double* out) {
-  // The seed's k-i-j loop, zero-skip branch included.
+  // The seed's k-i-j loop, zero-skip branch included. An empty output
+  // may be a null pointer, which memset must not see.
+  if (ac * bc == 0) return;
   std::memset(out, 0, ac * bc * sizeof(double));
   for (size_t k = 0; k < ar; ++k) {
     const double* a_row = a + k * ac;

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace bcfl::chain {
 namespace {
+
+/// Commits that skipped re-execution; metrics are switched on so the
+/// counter moves even under BCFL_OBS=off.
+obs::Counter& AdoptedCounter() {
+  obs::MetricsRegistry::set_enabled(true);
+  return obs::MetricsRegistry::Global().GetCounter("chain.commit.adopted");
+}
 
 /// Counter contract: method "inc" bumps a per-sender counter.
 class CounterContract : public SmartContract {
@@ -118,6 +127,122 @@ TEST_F(ConsensusFixture, ByzantineLeaderIsRejectedThenRotatedPast) {
   for (size_t m = 0; m < 5; ++m) {
     EXPECT_FALSE(engine->miner(m).state().Has("forged"));
   }
+}
+
+TEST_F(ConsensusFixture, CleanRoundAdoptsOnEveryReplica) {
+  // The leader keeps its proposal's post-state and every validator keeps
+  // its re-execution, so no replica executes the block a third time.
+  obs::Counter& adopted = AdoptedCounter();
+  auto engine = MakeEngine(5);
+  ASSERT_TRUE(engine->SubmitTransaction(IncTx(1)).ok());
+  const uint64_t before = adopted.Value();
+  auto result = engine->RunRound();
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->committed);
+  EXPECT_EQ(adopted.Value(), before + 5);
+}
+
+TEST_F(ConsensusFixture, CommitAdoptsOnlyTheBlockItExecuted) {
+  obs::Counter& adopted = AdoptedCounter();
+  Miner leader(0, host_), validator(1, host_), bystander(2, host_);
+  const Transaction tx = IncTx(1);
+  for (Miner* m : {&leader, &validator, &bystander}) {
+    ASSERT_TRUE(m->mempool().Add(tx).ok());
+  }
+  auto block = leader.ProposeBlock(1);
+  ASSERT_TRUE(block.ok());
+  auto verdict = validator.ValidateProposal(*block);
+  ASSERT_TRUE(verdict.ok());
+  ASSERT_TRUE(*verdict);
+
+  const uint64_t before = adopted.Value();
+  ASSERT_TRUE(leader.CommitBlock(*block).ok());
+  ASSERT_TRUE(validator.CommitBlock(*block).ok());
+  EXPECT_EQ(adopted.Value(), before + 2);
+  // The bystander never executed the block, so it re-executes.
+  ASSERT_TRUE(bystander.CommitBlock(*block).ok());
+  EXPECT_EQ(adopted.Value(), before + 2);
+  for (Miner* m : {&leader, &validator, &bystander}) {
+    EXPECT_EQ(m->state().StateRoot(), block->header.state_root);
+    EXPECT_EQ(m->chain().Height(), 1u);
+    EXPECT_TRUE(m->mempool().empty());
+  }
+}
+
+TEST_F(ConsensusFixture, LostProposalIsReexecutedAtCommitAndConverges) {
+  obs::Counter& adopted = AdoptedCounter();
+  Miner loser(0, host_), voter(1, host_), winner(2, host_);
+  const Transaction tx1 = IncTx(1);
+  const Transaction tx2 = IncTx(2);
+  ASSERT_TRUE(loser.mempool().Add(tx1).ok());
+  for (Miner* m : {&voter, &winner}) {
+    ASSERT_TRUE(m->mempool().Add(tx1).ok());
+    ASSERT_TRUE(m->mempool().Add(tx2).ok());
+  }
+  // The loser's proposal is executed by its leader and one voter, but a
+  // different block wins the height.
+  auto lost = loser.ProposeBlock(1);
+  ASSERT_TRUE(lost.ok());
+  auto verdict = voter.ValidateProposal(*lost);
+  ASSERT_TRUE(verdict.ok());
+  ASSERT_TRUE(*verdict);
+  auto won = winner.ProposeBlock(2);
+  ASSERT_TRUE(won.ok());
+  ASSERT_NE(lost->header.state_root, won->header.state_root);
+
+  const uint64_t before = adopted.Value();
+  for (Miner* m : {&loser, &voter, &winner}) {
+    ASSERT_TRUE(m->CommitBlock(*won).ok()) << "miner " << m->id();
+  }
+  EXPECT_EQ(adopted.Value(), before + 1);  // Only the winner's own.
+  for (const Miner* m : {&loser, &voter, &winner}) {
+    EXPECT_EQ(m->state().StateRoot(), won->header.state_root);
+    EXPECT_EQ(m->chain().Tip().header.Hash(), won->header.Hash());
+  }
+  // The lost block no longer extends the tip and cannot be committed.
+  EXPECT_FALSE(loser.CommitBlock(*lost).ok());
+  EXPECT_EQ(adopted.Value(), before + 1);
+  EXPECT_EQ(loser.state().StateRoot(), won->header.state_root);
+}
+
+TEST_F(ConsensusFixture, TamperingLeaderNeverAdoptsItsTamperedState) {
+  obs::Counter& adopted = AdoptedCounter();
+  Miner evil(0, host_), honest(1, host_);
+  MinerBehavior tamper;
+  tamper.tamper_state = [](ContractState* state) {
+    state->Put("forged", {0xde, 0xad});
+  };
+  evil.set_behavior(tamper);
+  const Transaction tx = IncTx(1);
+  ASSERT_TRUE(evil.mempool().Add(tx).ok());
+  ASSERT_TRUE(honest.mempool().Add(tx).ok());
+
+  auto forged = evil.ProposeBlock(1);
+  ASSERT_TRUE(forged.ok());
+  auto verdict = honest.ValidateProposal(*forged);
+  ASSERT_TRUE(verdict.ok());
+  EXPECT_FALSE(*verdict);
+
+  // Even its own leader re-executes the forged block honestly at commit,
+  // which fails the root check instead of adopting the tampered state.
+  const uint64_t before = adopted.Value();
+  EXPECT_TRUE(evil.CommitBlock(*forged).IsCorruption());
+  EXPECT_EQ(adopted.Value(), before);
+  EXPECT_EQ(evil.chain().Height(), 0u);
+  EXPECT_EQ(evil.state().size(), 0u);
+
+  // An honest block then commits everywhere, the evil miner adopting its
+  // own (honest) validation of it.
+  auto good = honest.ProposeBlock(2);
+  ASSERT_TRUE(good.ok());
+  verdict = evil.ValidateProposal(*good);
+  ASSERT_TRUE(verdict.ok());
+  EXPECT_TRUE(*verdict);
+  ASSERT_TRUE(evil.CommitBlock(*good).ok());
+  ASSERT_TRUE(honest.CommitBlock(*good).ok());
+  EXPECT_EQ(adopted.Value(), before + 2);
+  EXPECT_FALSE(evil.state().Has("forged"));
+  EXPECT_EQ(evil.state().StateRoot(), honest.state().StateRoot());
 }
 
 TEST_F(ConsensusFixture, MinorityGriefersCannotBlockProgress) {

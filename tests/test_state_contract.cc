@@ -71,9 +71,98 @@ TEST(ContractStateTest, SnapshotIsolation) {
   EXPECT_FALSE(state.Has("new"));
 }
 
-/// Test contract: method "put" stores payload under the key in the
-/// payload's first half; method "fail" writes then errors (to exercise
-/// rollback); anything else is unimplemented.
+TEST(ContractStateTest, SnapshotSharesNoWritesEitherWay) {
+  // Snapshots share value buffers; a write on either side must replace
+  // only its own entry, and each side's root must follow its own writes.
+  ContractState parent;
+  parent.Put("a", {1});
+  parent.Put("b", {2});
+  const crypto::Digest root = parent.StateRoot();
+  ContractState snap = parent.Snapshot();
+
+  snap.Put("a", {9});
+  snap.Delete("b");
+  EXPECT_EQ(*parent.Get("a"), (Bytes{1}));
+  EXPECT_EQ(*parent.Get("b"), (Bytes{2}));
+  EXPECT_EQ(parent.StateRoot(), root);
+
+  parent.Put("b", {7});
+  parent.Put("c", {3});
+  EXPECT_EQ(*snap.Get("a"), (Bytes{9}));
+  EXPECT_FALSE(snap.Has("b"));
+  EXPECT_FALSE(snap.Has("c"));
+
+  ContractState expected_snap;
+  expected_snap.Put("a", {9});
+  EXPECT_EQ(snap.StateRoot(), expected_snap.StateRoot());
+  ContractState expected_parent;
+  expected_parent.Put("a", {1});
+  expected_parent.Put("b", {7});
+  expected_parent.Put("c", {3});
+  EXPECT_EQ(parent.StateRoot(), expected_parent.StateRoot());
+}
+
+TEST(ContractStateTest, RollbackRestoresEntriesAndRoot) {
+  ContractState state;
+  state.Put("keep", {1});
+  state.Put("over", {2, 2});
+  state.Put("gone", {3});
+  const crypto::Digest root = state.StateRoot();
+
+  state.BeginTx();
+  state.Put("over", {4});  // Put over an existing key.
+  state.Put("new", {5});   // Put of a new key.
+  state.Delete("gone");
+  state.Put("new", {6});   // Second write to a key of this transaction.
+  state.Delete("keep");
+  EXPECT_NE(state.StateRoot(), root);
+  state.RollbackTx();
+
+  EXPECT_EQ(state.size(), 3u);
+  EXPECT_EQ(*state.Get("keep"), (Bytes{1}));
+  EXPECT_EQ(*state.Get("over"), (Bytes{2, 2}));
+  EXPECT_EQ(*state.Get("gone"), (Bytes{3}));
+  EXPECT_FALSE(state.Has("new"));
+  EXPECT_EQ(state.StateRoot(), root);
+
+  // The restored leaves match too: a later write re-hashes every leaf
+  // and must agree with a state built directly.
+  state.Put("z", {0});
+  ContractState direct;
+  direct.Put("gone", {3});
+  direct.Put("keep", {1});
+  direct.Put("over", {2, 2});
+  direct.Put("z", {0});
+  EXPECT_EQ(state.StateRoot(), direct.StateRoot());
+}
+
+TEST(ContractStateTest, CommitTxKeepsWritesAndEndsJournal) {
+  ContractState state;
+  state.BeginTx();
+  state.Put("k", {1});
+  state.CommitTx();
+  state.BeginTx();
+  state.Put("k", {2});
+  state.RollbackTx();  // Undoes only the second transaction.
+  EXPECT_EQ(*state.Get("k"), (Bytes{1}));
+}
+
+TEST(ContractStateTest, PutThenDeleteMatchesNeverSeenKey) {
+  ContractState seen;
+  seen.Put("x", {1});
+  seen.Put("y", {2});
+  (void)seen.StateRoot();
+  seen.Delete("y");
+  ContractState never;
+  never.Put("x", {1});
+  EXPECT_EQ(seen.StateRoot(), never.StateRoot());
+  seen.Delete("x");
+  EXPECT_EQ(seen.StateRoot(), ContractState().StateRoot());
+}
+
+/// Test contract: method "put" stores the payload under "echo/<nonce>";
+/// method "fail" adds a key, overwrites "pre", deletes "echo/1" and then
+/// errors (to exercise rollback); anything else is unimplemented.
 class EchoContract : public SmartContract {
  public:
   std::string name() const override { return "echo"; }
@@ -84,6 +173,8 @@ class EchoContract : public SmartContract {
     }
     if (tx.method == "fail") {
       state->Put("should_not_persist", {1});
+      state->Put("pre", {9});
+      state->Delete("echo/1");
       return Status::Internal("deliberate failure");
     }
     return Status::Unimplemented(tx.method);
@@ -157,7 +248,7 @@ TEST_F(HostFixture, FailedExecutionRollsBackPartialWrites) {
   ASSERT_TRUE(receipt.ok());
   EXPECT_FALSE(receipt->success);
   EXPECT_FALSE(state.Has("should_not_persist"));
-  EXPECT_TRUE(state.Has("pre"));
+  EXPECT_EQ(*state.Get("pre"), (Bytes{1}));
 }
 
 TEST_F(HostFixture, ExecuteBlockMixesSuccessAndFailureDeterministically) {
@@ -179,6 +270,23 @@ TEST_F(HostFixture, ExecuteBlockMixesSuccessAndFailureDeterministically) {
   ContractState replay;
   ASSERT_TRUE(host_->ExecuteBlock(txs, &replay).ok());
   EXPECT_EQ(replay.StateRoot(), state.StateRoot());
+}
+
+TEST_F(HostFixture, FailingTransactionLeavesSameRootAsBlockWithoutIt) {
+  // The failing tx overwrites "pre" and deletes "echo/1" before it
+  // errors; the rollback must leave no trace in the root.
+  const std::vector<Transaction> with_failure = {
+      SignedTx("echo", "put", 1), SignedTx("echo", "fail", 2),
+      SignedTx("echo", "put", 3)};
+  const std::vector<Transaction> without = {with_failure[0], with_failure[2]};
+  ContractState a, b;
+  a.Put("pre", {1});
+  b.Put("pre", {1});
+  ASSERT_TRUE(host_->ExecuteBlock(with_failure, &a).ok());
+  ASSERT_TRUE(host_->ExecuteBlock(without, &b).ok());
+  EXPECT_TRUE(a.Has("echo/1"));
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.StateRoot(), b.StateRoot());
 }
 
 }  // namespace
