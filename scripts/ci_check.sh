@@ -97,7 +97,13 @@ assert counters["contract.round_evals"] > 0, counters
 assert counters["chain.block.committed"] > 0, counters
 assert counters["shapley.coalitions_scored"] > 0, counters
 assert "fl.round_accuracy" in metrics["gauges"], metrics["gauges"]
-assert metrics["histograms"]["chain.consensus.round_us"]["count"] > 0
+histograms = metrics["histograms"]
+assert histograms["chain.block_commit_us"]["count"] > 0
+for name in ("chain.propose_us", "chain.validate_us", "chain.commit_us",
+             "secureagg.mask_us", "contract.round_eval_us"):
+    assert histograms[name]["count"] > 0, name
+# Spans are the only latency instrument: one name per interval.
+assert not [k for k in histograms if k.startswith("span.")], list(histograms)
 
 ledger = [json.loads(line)
           for line in open(f"{artifact_dir}/ledger.jsonl") if line.strip()]

@@ -31,7 +31,7 @@ class SimClock {
   uint64_t now_us_ = 0;
 };
 
-/// Wall-clock stopwatch used only by benchmarks and the runtime table.
+/// Wall-clock stopwatch for benchmarks and the round ledger's phase walls.
 class Stopwatch {
  public:
   Stopwatch();

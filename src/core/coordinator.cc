@@ -1,11 +1,11 @@
 #include "core/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/fsync_util.h"
+#include "common/sim_clock.h"
 #include "core/reward_contract.h"
 #include "core/slash_contract.h"
 #include "crypto/sha256.h"
@@ -49,21 +49,6 @@ uint64_t SlashNonce(uint64_t round, uint32_t offender, uint64_t num_owners) {
   return (round + 1) * RoundNonceStride(num_owners) + 2 * num_owners +
          offender;
 }
-
-/// Wall-clock stopwatch for the ledger's phase attribution (the
-/// simulated clock tracks protocol time; operators watch wall time).
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double ElapsedUs() const {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace
 
@@ -760,8 +745,6 @@ Status BcflCoordinator::AuditFlaggedGroups(uint64_t round,
 Result<BcflRunResult> BcflCoordinator::Run() {
   static auto& rounds_counter =
       obs::MetricsRegistry::Global().GetCounter("fl.rounds");
-  static auto& round_us =
-      obs::MetricsRegistry::Global().GetHistogram("fl.round_us");
   static auto& accuracy_gauge =
       obs::MetricsRegistry::Global().GetGauge("fl.round_accuracy");
   // A resumed session starts from the checkpointed accumulators and
@@ -790,7 +773,6 @@ Result<BcflRunResult> BcflCoordinator::Run() {
 
   for (uint64_t round = start_round_; round < config_.rounds; ++round) {
     obs::ScopedSpan round_span(obs::Tracer::Global(), "round", "fl");
-    obs::ScopedLatency round_latency(round_us);
     rounds_counter.Add();
     if (injector_ != nullptr) injector_->BeginRound(round);
     // Process-kill fault (PR 10): fires at the start of its round, after
@@ -862,7 +844,7 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         // the accusation carries both — the owner never lands an update,
         // exactly like a crash, and needs no recovery (the slash reveals
         // its key).
-        WallTimer submit_timer;
+        Stopwatch submit_timer;
         const Bytes& payload = round_scratch_.slots[i].payload;
         if (injector_ != nullptr && injector_->OwnerEquivocates(i)) {
           BCFL_RETURN_IF_ERROR(SlashEquivocator(i, round, payload, &result));
@@ -872,7 +854,7 @@ Result<BcflRunResult> BcflCoordinator::Run() {
               SubmitWithRetries(i, round, payload, deadline_us, &result));
           if (!submitted) missing.insert(i);
         }
-        submit_wall_us += submit_timer.ElapsedUs();
+        submit_wall_us += submit_timer.ElapsedSeconds() * 1e6;
       }
       if (config_.keep_local_models) {
         std::vector<ml::Matrix> locals(n);
@@ -888,17 +870,17 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     // Consensus drains the submissions; if owners missed the deadline the
     // survivors then drive the on-chain Shamir recovery, which completes
     // the round with the dropped owners scored zero.
-    WallTimer consensus_timer;
+    Stopwatch consensus_timer;
     BCFL_ASSIGN_OR_RETURN(auto commits, engine_->RunUntilDrained());
-    consensus_wall_us = consensus_timer.ElapsedUs();
-    WallTimer recover_timer;
+    consensus_wall_us = consensus_timer.ElapsedSeconds() * 1e6;
+    Stopwatch recover_timer;
     BCFL_RETURN_IF_ERROR(RecoverMissingOwners(round, missing, &result));
     if (!missing.empty()) {
       BCFL_ASSIGN_OR_RETURN(auto recovery_commits, engine_->RunUntilDrained());
       commits.insert(commits.end(), recovery_commits.begin(),
                      recovery_commits.end());
     }
-    recover_wall_us = recover_timer.ElapsedUs();
+    recover_wall_us = recover_timer.ElapsedSeconds() * 1e6;
     // Norm-gate audit (PR 9): a round held open by `flagged/` markers
     // means some group's decoded aggregate broke the agreed bound. The
     // audit convicts the violating submitters; their slashes convert them
@@ -906,7 +888,7 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     double audit_wall_us = 0.0;
     if (config_.update_norm_bound > 0 &&
         !engine_->CanonicalState().Has(keys::RoundComplete(round))) {
-      WallTimer audit_timer;
+      Stopwatch audit_timer;
       const size_t slashes_before = result.slash_transactions;
       BCFL_RETURN_IF_ERROR(AuditFlaggedGroups(round, &result));
       if (result.slash_transactions > slashes_before) {
@@ -914,7 +896,7 @@ Result<BcflRunResult> BcflCoordinator::Run() {
         commits.insert(commits.end(), audit_commits.begin(),
                        audit_commits.end());
       }
-      audit_wall_us = audit_timer.ElapsedUs();
+      audit_wall_us = audit_timer.ElapsedSeconds() * 1e6;
     }
     for (const auto& commit : commits) {
       if (!commit.committed) {
@@ -959,12 +941,16 @@ Result<BcflRunResult> BcflCoordinator::Run() {
       record.phase_us["train"] = train_wall_us;
       record.phase_us["tx_admission"] = submit_wall_us;
       record.phase_us["owner_fanout"] = fanout_wall_us;
-      record.phase_us["secureagg_mask"] = mask_us_hist.Sum() - mask_us0;
       record.phase_us["consensus"] = consensus_wall_us;
       if (!missing.empty()) {
         record.phase_us["secureagg_recover"] = recover_wall_us;
       }
-      record.phase_us["sv_eval"] = sv_eval_us_hist.Sum() - sv_eval_us0;
+      // Span histograms fill only while the registry and the tracer are
+      // both on; otherwise these two phases are unmeasured, not 0.
+      if (obs::MetricsRegistry::enabled() && obs::Tracer::Global().enabled()) {
+        record.phase_us["secureagg_mask"] = mask_us_hist.Sum() - mask_us0;
+        record.phase_us["sv_eval"] = sv_eval_us_hist.Sum() - sv_eval_us0;
+      }
       const uint64_t hits = sig_hits.Value() - sig_hits0;
       const uint64_t misses = sig_misses.Value() - sig_misses0;
       record.sig_cache_lookups = hits + misses;
@@ -1032,7 +1018,7 @@ Result<BcflRunResult> BcflCoordinator::Run() {
   // all as on-chain transactions.
   if (config_.reward_pool > 0) {
     obs::ScopedSpan reward_span(obs::Tracer::Global(), "reward_phase", "fl");
-    WallTimer reward_timer;
+    Stopwatch reward_timer;
     const size_t reward_blocks0 = result.blocks_committed;
     const size_t reward_txs0 = result.total_transactions;
     chain::Transaction fund;
@@ -1075,7 +1061,8 @@ Result<BcflRunResult> BcflCoordinator::Run() {
     }
     result.reward_burned = ReadU64OrZero(state, RewardContract::BurnedKey());
     if (have_pending_final_record) {
-      pending_final_record.phase_us["reward"] = reward_timer.ElapsedUs();
+      pending_final_record.phase_us["reward"] =
+          reward_timer.ElapsedSeconds() * 1e6;
       pending_final_record.blocks_committed +=
           result.blocks_committed - reward_blocks0;
       pending_final_record.transactions +=

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <limits>
 #include <map>
 #include <memory>
@@ -222,26 +221,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-/// RAII stopwatch that records elapsed wall time, in microseconds, into a
-/// histogram on destruction.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram& histogram)
-      : histogram_(&histogram),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatency() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    histogram_->Observe(
-        std::chrono::duration<double, std::micro>(elapsed).count());
-  }
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace bcfl::obs

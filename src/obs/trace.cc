@@ -125,9 +125,7 @@ void Tracer::EndSpan(uint64_t token) {
     }
     if (MetricsRegistry* metrics = metrics_.load(std::memory_order_acquire);
         metrics != nullptr) {
-      metrics
-          ->GetHistogram("span." + record.category + "." + record.name +
-                         "_us")
+      metrics->GetHistogram(record.category + "." + record.name + "_us")
           .Observe(static_cast<double>(record.duration_ns) / 1000.0);
     }
     std::lock_guard<std::mutex> lock(mu_);

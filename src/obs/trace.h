@@ -64,9 +64,9 @@ class Tracer {
   }
 
   /// Attaches a metrics registry: every span close then also records its
-  /// wall duration into the `span.<category>.<name>_us` histogram of
-  /// that registry, so phase latencies get live quantiles (and Prometheus
-  /// exposition) without a second set of stopwatches at the call sites.
+  /// wall duration into the `<category>.<name>_us` histogram of that
+  /// registry — the one latency instrument, so each measured interval has
+  /// one name, with live quantiles and Prometheus exposition.
   /// nullptr detaches; the global tracer ships attached to the global
   /// registry. Spans mark phases, not per-element work, so the name
   /// lookup on close is off every hot path.

@@ -4,6 +4,7 @@
 
 #include "crypto/sha256.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "secureagg/mask.h"
 
 namespace bcfl::secureagg {
@@ -80,9 +81,7 @@ Status SecureAggParticipant::MaskUpdateInto(
     std::vector<uint64_t>* out) const {
   static auto& masked_updates = obs::MetricsRegistry::Global().GetCounter(
       "secureagg.masked_updates");
-  static auto& mask_us =
-      obs::MetricsRegistry::Global().GetHistogram("secureagg.mask_us");
-  obs::ScopedLatency latency(mask_us);
+  obs::ScopedSpan span(obs::Tracer::Global(), "mask", "secureagg");
   masked_updates.Add();
   if (std::find(group_members.begin(), group_members.end(), id_) ==
       group_members.end()) {

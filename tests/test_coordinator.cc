@@ -7,6 +7,8 @@
 
 #include "chain/block_log.h"
 #include "chain/merkle.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "shapley/group_sv.h"
 #include "shapley/utility.h"
 
@@ -64,6 +66,41 @@ TEST(CoordinatorTest, EndToEndRunProducesConsistentResults) {
   // Two short rounds on 400 instances: the global model must already be
   // meaningfully better than the 0.1 chance level.
   EXPECT_GT(result->round_accuracies.back(), 0.18);
+}
+
+TEST(CoordinatorTest, EachLatencyHasOneHistogramName) {
+  // A closed span lands in `<category>.<name>_us` and nothing records a
+  // second copy, so a once-per-call counter and its histogram agree.
+  const std::pair<const char*, const char*> kOncePerCall[] = {
+      {"chain.propose_us", "chain.block.proposed"},
+      {"contract.round_eval_us", "contract.round_evals"},
+      {"secureagg.mask_us", "secureagg.masked_updates"},
+      {"fl.round_us", "fl.rounds"},
+  };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  const bool metrics_were_on = obs::MetricsRegistry::enabled();
+  const bool tracer_was_on = obs::Tracer::Global().enabled();
+  obs::MetricsRegistry::set_enabled(true);
+  obs::Tracer::Global().set_enabled(true);
+  auto coordinator = BcflCoordinator::Create(SmallConfig());
+  const bool ran = coordinator.ok() && (*coordinator)->Run().ok();
+  obs::MetricsRegistry::set_enabled(metrics_were_on);
+  obs::Tracer::Global().set_enabled(tracer_was_on);
+  ASSERT_TRUE(ran);
+
+  for (const auto& [histogram, counter] : kOncePerCall) {
+    const uint64_t observed = registry.GetHistogram(histogram).Count();
+    EXPECT_GT(observed, 0u) << histogram;
+    EXPECT_EQ(observed, registry.GetCounter(counter).Value()) << histogram;
+  }
+  for (const auto& h : registry.Snapshot().histograms) {
+    EXPECT_NE(h.name.rfind("span.", 0), 0u) << h.name;
+    for (const char* gone : {"chain.consensus.round_us", "secureagg.unmask_us",
+                             "shapley.native.retrain_stage_us"}) {
+      EXPECT_NE(h.name, gone);
+    }
+  }
 }
 
 TEST(CoordinatorTest, OnChainGroupSvMatchesOffChainReference) {

@@ -48,8 +48,8 @@ std::string HttpGet(uint16_t port, const std::string& request_line) {
 
 TEST(PrometheusNameTest, SanitisesAndPrefixes) {
   EXPECT_EQ(PrometheusName("fl.round_us"), "bcfl_fl_round_us");
-  EXPECT_EQ(PrometheusName("span.chain.block commit-us"),
-            "bcfl_span_chain_block_commit_us");
+  EXPECT_EQ(PrometheusName("chain.block commit-us"),
+            "bcfl_chain_block_commit_us");
   EXPECT_EQ(PrometheusName("ok:name_09"), "bcfl_ok:name_09");
 }
 

@@ -177,14 +177,6 @@ TEST(MetricsRegistryTest, EmptyHistogramExportOmitsMinMax) {
   EXPECT_EQ(json.find("inf"), std::string::npos);
 }
 
-TEST(ScopedLatencyTest, RecordsOneObservation) {
-  MetricsRegistry registry;
-  Histogram& h = registry.GetHistogram("scoped_us");
-  { ScopedLatency latency(h); }
-  EXPECT_EQ(h.Count(), 1u);
-  EXPECT_GE(h.Max(), 0.0);
-}
-
 TEST(ExporterTest, WritesBothArtifacts) {
   MetricsRegistry registry;
   registry.GetCounter("x").Add(2);

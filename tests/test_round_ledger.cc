@@ -10,7 +10,9 @@
 #include "core/coordinator.h"
 #include "fault/fault_plan.h"
 #include "obs/json_reader.h"
+#include "obs/metrics.h"
 #include "obs/round_ledger.h"
+#include "obs/trace.h"
 
 namespace bcfl::obs {
 namespace {
@@ -192,6 +194,50 @@ TEST(RoundLedgerCoordinatorTest, OneRecordPerRoundWithFaultsAndReward) {
   // SV volatility is live by round 2 (three samples of a noisy vector).
   EXPECT_GT(last->Find("sv_volatility_mean")->number, 0.0);
 
+  std::remove(path.c_str());
+}
+
+TEST(RoundLedgerCoordinatorTest, UnmeasuredPhasesAreOmittedNotZero) {
+  // `secureagg_mask` and `sv_eval` are span-histogram deltas: with obs
+  // off nothing measures them, so the record must not claim 0 us.
+  const bool metrics_were_on = MetricsRegistry::enabled();
+  const bool tracer_was_on = Tracer::Global().enabled();
+  const std::string path = TempPath("ledger_obs.jsonl");
+  core::BcflConfig config;
+  config.num_owners = 4;
+  config.num_miners = 3;
+  config.rounds = 2;
+  config.num_groups = 2;
+  config.digits.num_instances = 400;
+  for (bool obs_on : {false, true}) {
+    RoundLedger ledger;
+    ASSERT_TRUE(ledger.Open(path).ok());
+    MetricsRegistry::set_enabled(obs_on);
+    Tracer::Global().set_enabled(obs_on);
+    auto coordinator = core::BcflCoordinator::Create(config);
+    if (coordinator.ok()) (*coordinator)->set_round_ledger(&ledger);
+    const bool ran = coordinator.ok() && (*coordinator)->Run().ok();
+    MetricsRegistry::set_enabled(metrics_were_on);
+    Tracer::Global().set_enabled(tracer_was_on);
+    ledger.Close();
+    ASSERT_TRUE(ran);
+
+    const std::vector<std::string> lines = ReadLines(path);
+    ASSERT_EQ(lines.size(), 2u);
+    for (const std::string& line : lines) {
+      auto parsed = ParseJson(line);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      for (const char* phase : {"secureagg_mask", "sv_eval"}) {
+        const JsonValue* us = parsed->Find("phase_us")->Find(phase);
+        if (obs_on) {
+          ASSERT_NE(us, nullptr) << phase;
+          EXPECT_GT(us->number, 0.0) << phase;
+        } else {
+          EXPECT_EQ(us, nullptr) << phase;
+        }
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

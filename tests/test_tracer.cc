@@ -180,8 +180,8 @@ TEST(TracerMetricsSinkTest, ClosedSpansFeedCategoryHistograms) {
   { ScopedSpan span(tracer, "mask_round", "secureagg"); }
   { ScopedSpan span(tracer, "mask_round", "secureagg"); }
   { ScopedSpan span(tracer, "commit", "chain"); }
-  Histogram& mask = registry.GetHistogram("span.secureagg.mask_round_us");
-  Histogram& commit = registry.GetHistogram("span.chain.commit_us");
+  Histogram& mask = registry.GetHistogram("secureagg.mask_round_us");
+  Histogram& commit = registry.GetHistogram("chain.commit_us");
   EXPECT_EQ(mask.Count(), 2u);
   EXPECT_EQ(commit.Count(), 1u);
   EXPECT_GE(mask.Sum(), 0.0);
@@ -194,7 +194,7 @@ TEST(TracerMetricsSinkTest, ClosedSpansFeedCategoryHistograms) {
 }
 
 TEST(TracerMetricsSinkTest, GlobalTracerIsAttachedToGlobalRegistry) {
-  const std::string name = "span.test.global_sink_probe_us";
+  const std::string name = "test.global_sink_probe_us";
   Histogram& h = MetricsRegistry::Global().GetHistogram(name);
   const uint64_t before = h.Count();
   { ScopedSpan span(Tracer::Global(), "global_sink_probe", "test"); }
