@@ -1,9 +1,11 @@
 // Kernel-layer micro-benchmark and equivalence gate.
 //
 // Times the optimized compute kernels (blocked GEMM, transposed GEMM,
-// fused softmax-cross-entropy step, batched ChaCha20 keystream, mask
-// expansion) against the seed-faithful reference implementations on the
-// training-workload shapes, and — more importantly — *verifies* the
+// fused softmax-cross-entropy step, row-streamed coalition scoring,
+// batched ChaCha20 keystream, mask expansion) against the seed-faithful
+// reference implementations (for coalition scoring: the materialized
+// subset-sum score table it replaced) on the training-workload shapes,
+// and — more importantly — *verifies* the
 // determinism contract: every optimized kernel must be bit-identical to
 // its reference, including under the row-parallel pool path. A mismatch
 // makes the process exit non-zero, so CI can use this binary as the
@@ -14,6 +16,7 @@
 // Flags: --quick  lower repetition counts (CI smoke mode).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +28,8 @@
 #include "common/thread_pool.h"
 #include "crypto/chacha20.h"
 #include "ml/kernels.h"
+#include "ml/logistic_regression.h"
+#include "ml/matrix.h"
 #include "obs/exporter.h"
 #include "obs/json_writer.h"
 #include "secureagg/mask.h"
@@ -210,6 +215,99 @@ bool CheckParallelGemmDeterminism(Xoshiro256* rng) {
   return true;
 }
 
+/// Random coalition-kernel inputs: `m` players' rows x classes score
+/// matrices (integer-valued when `ties`, so sums tie often) and labels.
+struct CoalitionInput {
+  std::vector<std::vector<double>> basis;
+  std::vector<const double*> pointers;
+  std::vector<int> labels;
+};
+
+CoalitionInput MakeCoalitionInput(size_t m, size_t rows, size_t classes,
+                                  bool ties, Xoshiro256* rng) {
+  CoalitionInput in;
+  in.basis.assign(m, std::vector<double>(rows * classes));
+  for (auto& b : in.basis) {
+    for (double& x : b) {
+      x = ties ? static_cast<double>(rng->NextBounded(3)) - 1.0
+               : rng->NextDouble() * 2.0 - 1.0;
+    }
+    in.pointers.push_back(b.data());
+  }
+  in.labels.resize(rows);
+  for (int& l : in.labels) l = static_cast<int>(rng->NextBounded(classes));
+  return in;
+}
+
+/// The table the streamed kernel replaced: every coalition's score sum
+/// materialized (highest member added last), then scored per coalition
+/// by AccuracyFromScores or LogLossFromScores of the 1/|S|-scaled mean.
+std::vector<double> MaterializedCoalitionScores(const CoalitionInput& in,
+                                                size_t rows, size_t classes,
+                                                kernels::CoalitionTerm term) {
+  const size_t full = size_t{1} << in.basis.size();
+  std::vector<ml::Matrix> sums(full);
+  sums[0] = ml::Matrix(rows, classes);
+  std::vector<double> scores(full);
+  for (size_t mask = 0; mask < full; ++mask) {
+    if (mask > 0) {
+      const int high = std::bit_width(mask) - 1;
+      sums[mask] = sums[mask ^ (size_t{1} << high)];
+      double* dst = sums[mask].mutable_data().data();
+      for (size_t i = 0; i < rows * classes; ++i) dst[i] += in.basis[high][i];
+    }
+    const size_t members = static_cast<size_t>(std::popcount(mask));
+    scores[mask] =
+        term == kernels::CoalitionTerm::kCorrect
+            ? ml::AccuracyFromScores(sums[mask], in.labels).value()
+            : ml::LogLossFromScores(
+                  members > 1 ? sums[mask].Scaled(1.0 / members) : sums[mask],
+                  in.labels)
+                  .value();
+  }
+  return scores;
+}
+
+bool CheckCoalitionScoresEquivalence(Xoshiro256* rng) {
+  struct Case {
+    size_t m, rows, classes;
+    bool ties;
+  };
+  const Case cases[] = {{1, 1, 2, false}, {3, 7, 2, true}, {6, 33, 10, true},
+                        {9, 17, 10, false}, {10, 5, 3, true}};
+  for (const Case& c : cases) {
+    const CoalitionInput in =
+        MakeCoalitionInput(c.m, c.rows, c.classes, c.ties, rng);
+    for (kernels::CoalitionTerm term : {kernels::CoalitionTerm::kCorrect,
+                                        kernels::CoalitionTerm::kNegLogProb}) {
+      const std::vector<double> expected =
+          MaterializedCoalitionScores(in, c.rows, c.classes, term);
+      for (kernels::Dispatch dispatch :
+           {kernels::Dispatch::kScalar, kernels::Dispatch::kAuto}) {
+        kernels::CoalitionRows job;
+        job.term = term;
+        job.basis = in.pointers.data();
+        job.players = c.m;
+        job.rows = c.rows;
+        job.classes = c.classes;
+        job.labels = in.labels.data();
+        std::vector<double> out(expected.size(), 0.0);
+        kernels::ScoreCoalitionRows(job, out.data(), dispatch);
+        // Both utilities are the row total over the row count.
+        for (double& total : out) total /= static_cast<double>(c.rows);
+        if (!BitEqual(out, expected)) {
+          std::printf("  !! coalition scores diverged at m=%zu %zux%zu "
+                      "term %d dispatch %d\n",
+                      c.m, c.rows, c.classes, static_cast<int>(term),
+                      static_cast<int>(dispatch));
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 bool CheckChaChaBatched() {
   std::array<uint8_t, 32> key{};
   for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i);
@@ -273,6 +371,7 @@ int main(int argc, char** argv) {
       {"fused_step", CheckFusedStepEquivalence(&rng)},
       {"parallel_gemm", CheckParallelGemmDeterminism(&rng)},
       {"chacha20_batched", CheckChaChaBatched()},
+      {"coalition_scores", CheckCoalitionScoresEquivalence(&rng)},
   };
   bool all_ok = true;
   std::printf("equivalence vs reference:");
@@ -388,6 +487,51 @@ int main(int argc, char** argv) {
     json.Field("ref_ms_per_epoch", ref_s * 1e3);
     json.Field("opt_ms_per_epoch", opt_s * 1e3);
     json.Field("speedup", ref_s / opt_s);
+    json.EndObject();
+  }
+
+  // ---- Coalition scoring (on-chain GroupSV at m = 9) -------------------
+  {
+    // The paper's largest Table I shape: 2^9 coalitions of 9 group
+    // models over the 1124-row test split, 10 classes, accuracy term.
+    const size_t m = 9, rows = 1124, classes = 10;
+    const CoalitionInput in = MakeCoalitionInput(m, rows, classes, false,
+                                                 &rng);
+    kernels::CoalitionRows job;
+    job.basis = in.pointers.data();
+    job.players = m;
+    job.rows = rows;
+    job.classes = classes;
+    job.labels = in.labels.data();
+    std::vector<double> out(size_t{1} << m);
+    auto streamed = [&](kernels::Dispatch dispatch) {
+      return TimeBest(
+          [&] {
+            std::fill(out.begin(), out.end(), 0.0);
+            kernels::ScoreCoalitionRows(job, out.data(), dispatch);
+          },
+          reps);
+    };
+    const double table_s = TimeBest(
+        [&] {
+          MaterializedCoalitionScores(in, rows, classes,
+                                      kernels::CoalitionTerm::kCorrect);
+        },
+        quick ? 1 : 3);
+    const double scalar_s = streamed(kernels::Dispatch::kScalar);
+    const double opt_s = streamed(kernels::Dispatch::kAuto);
+    std::printf("coalition_scores m=%zu %zux%zu: materialized table %.3f ms, "
+                "streamed scalar %.3f ms, streamed %s %.3f ms, %.2fx\n",
+                m, rows, classes, table_s * 1e3, scalar_s * 1e3,
+                kernels::ActivePath(), opt_s * 1e3, table_s / opt_s);
+    json.BeginObject("coalition_scores");
+    json.Field("m", m);
+    json.Field("rows", rows);
+    json.Field("classes", classes);
+    json.Field("table_ms", table_s * 1e3);
+    json.Field("scalar_ms", scalar_s * 1e3);
+    json.Field("opt_ms", opt_s * 1e3);
+    json.Field("speedup", table_s / opt_s);
     json.EndObject();
   }
 

@@ -61,8 +61,9 @@ if [ "$BAD_FLAG_EXIT" -ne 1 ] || ! grep -q -- "--pool-threads" <<<"$BAD_FLAG_ERR
 fi
 
 # Kernel-equivalence smoke: bench_kernels exits non-zero unless every
-# optimized kernel (GEMM, transposed GEMM, fused softmax step, batched
-# ChaCha20, mask expansion) is bit-identical to its reference path, and
+# optimized kernel (GEMM, transposed GEMM, fused softmax step, streamed
+# coalition scoring, batched ChaCha20, mask expansion) is bit-identical
+# to its reference path, and
 # it drops BENCH_kernels.json in the working directory.
 BENCH_KERNELS="$(cd "$BUILD_DIR" && pwd)/bench/bench_kernels"
 (cd "$ARTIFACT_DIR" && "$BENCH_KERNELS" --quick)
@@ -125,7 +126,8 @@ assert expected <= categories, f"missing categories: {expected - categories}"
 kernels = json.load(open(f"{artifact_dir}/BENCH_kernels.json"))
 assert kernels["all_equivalent"] is True, kernels["equivalence"]
 missing = {"gemm", "gemm_trans_a", "transpose", "softmax_rows",
-           "fused_step", "parallel_gemm", "chacha20_batched"} \
+           "fused_step", "parallel_gemm", "chacha20_batched",
+           "coalition_scores"} \
     - set(kernels["equivalence"])
 assert not missing, f"missing equivalence checks: {missing}"
 assert kernels["kernel_path"] in {"scalar", "avx2"}, kernels

@@ -14,9 +14,7 @@
 namespace bcfl::core {
 
 FlContract::FlContract(ml::Dataset validation_set)
-    : validation_set_(std::move(validation_set)),
-      utility_(std::make_unique<shapley::CachingUtility>(
-          std::make_unique<shapley::TestAccuracyUtility>(validation_set_))) {}
+    : utility_(std::move(validation_set)) {}
 
 Bytes FlContract::EncodeSubmitUpdate(uint64_t round, uint32_t owner,
                                      const std::vector<uint64_t>& masked) {
@@ -409,7 +407,7 @@ Status FlContract::EvaluateRound(const SetupParams& params, uint64_t round,
   // SVs, per-user assignment. Dropped owners appear in no group and
   // score zero for the round.
   shapley::GroupShapley evaluator(
-      n, {params.num_groups, params.seed_e}, utility_.get());
+      n, {params.num_groups, params.seed_e}, &utility_);
   BCFL_ASSIGN_OR_RETURN(shapley::GroupShapleyRound result,
                         evaluator.EvaluateRoundFromGroupModels(
                             surviving_groups, std::move(group_models)));

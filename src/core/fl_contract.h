@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 
 #include "chain/contract.h"
 #include "core/params.h"
@@ -84,10 +83,11 @@ class FlContract : public chain::SmartContract {
   Status EvaluateRound(const SetupParams& params, uint64_t round,
                        chain::ContractState* state);
 
-  ml::Dataset validation_set_;
-  /// Shared memoizing utility (pure function of the weights, so sharing
-  /// one instance across miner replicas cannot break determinism).
-  std::unique_ptr<shapley::CachingUtility> utility_;
+  /// Test-accuracy utility over the validation set. Immutable, and not
+  /// memoized: every miner that executes a round computes its GroupSV
+  /// (on the engine's streamed linear-score path) instead of reading a
+  /// value another replica left behind.
+  shapley::TestAccuracyUtility utility_;
 };
 
 }  // namespace bcfl::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -756,6 +757,203 @@ AccumGenericFn PickAccumGeneric() {
   return &GemmTransAAccumGenericBase;
 }
 
+// ---------------------------------------------------------------------------
+// Row-streamed coalition scoring. The table of one test row is class-major,
+// t[c * masks + mask] with masks = 2^players, so bit j's step is a
+// broadcast add over the contiguous masks [2^j, 2^(j+1)) of each class and
+// the first-max fold compares the same masks class after class.
+// ---------------------------------------------------------------------------
+
+/// Softmax -log p(label) of one score row read at `stride`, each entry
+/// times `scale` (1/|S|, the coalition mean; multiplying by 1 is exact):
+/// the max, exp of the shifted entries summed in class order, divide and
+/// clamped log.
+BCFL_ALWAYS_INLINE double NegLogProbRow(const double* row, size_t stride,
+                                        size_t classes, int label,
+                                        double scale) {
+  auto at = [&](size_t c) { return row[c * stride] * scale; };
+  double max_score = at(0);
+  for (size_t c = 1; c < classes; ++c) max_score = std::max(max_score, at(c));
+  double sum = 0.0;
+  double e_label = 0.0;
+  for (size_t c = 0; c < classes; ++c) {
+    const double e = std::exp(at(c) - max_score);
+    sum += e;
+    if (static_cast<size_t>(label) == c) e_label = e;
+  }
+  return -std::log(std::max(e_label / sum, 1e-12));
+}
+
+/// 1 when the first maximum of the row (read at `stride`) is at `label`.
+BCFL_ALWAYS_INLINE double FirstMaxIsLabelRow(const double* row, size_t stride,
+                                             size_t classes, int label) {
+  double best = row[0];
+  bool hit = label == 0;
+  for (size_t c = 1; c < classes; ++c) {
+    const double v = row[c * stride];
+    const bool gt = v > best;
+    best = gt ? v : best;
+    hit = gt ? static_cast<size_t>(label) == c : hit;
+  }
+  return hit ? 1.0 : 0.0;
+}
+
+/// Folds the -log p terms of one row's finished table; shared by both
+/// dispatches (the exp calls are scalar either way).
+BCFL_ALWAYS_INLINE void FoldNegLogProb(const double* table, size_t masks,
+                                       size_t classes, int label,
+                                       double* out) {
+  for (size_t mask = 0; mask < masks; ++mask) {
+    const size_t members = static_cast<size_t>(std::popcount(mask));
+    out[mask] += NegLogProbRow(
+        table + mask, masks, classes, label,
+        members > 1 ? 1.0 / static_cast<double>(members) : 1.0);
+  }
+}
+
+void CoalitionRowsBase(const CoalitionRows& job, double* __restrict out,
+                       double* __restrict table) {
+  const size_t masks = size_t{1} << job.players;
+  const size_t classes = job.classes;
+  for (size_t r = 0; r < job.rows; ++r) {
+    for (size_t c = 0; c < classes; ++c) table[c * masks] = 0.0;
+    for (size_t j = 0, high = 1; j < job.players; ++j, high <<= 1) {
+      const double* player = job.basis[j] + r * classes;
+      for (size_t c = 0; c < classes; ++c) {
+        double* t = table + c * masks;
+        const double b = player[c];
+        for (size_t mask = high; mask < 2 * high; ++mask) {
+          t[mask] = t[mask - high] + b;
+        }
+      }
+    }
+    const int label = job.labels[r];
+    if (job.term == CoalitionTerm::kCorrect) {
+      for (size_t mask = 0; mask < masks; ++mask) {
+        out[mask] += FirstMaxIsLabelRow(table + mask, masks, classes, label);
+      }
+    } else {
+      FoldNegLogProb(table, masks, classes, label, out);
+    }
+  }
+}
+
+#if BCFL_KERNELS_HAVE_AVX2_CLONES
+/// Adds the first-max hits of masks [0, count) of a finished table into
+/// out[mask], four masks per vector: best/hit start at class 0 and take
+/// class c where it is strictly greater (the ordered, non-signalling
+/// compare is false on NaN, as `>` is), so each lane follows
+/// FirstMaxIsLabelRow.
+BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE void FirstMaxHitsIntr(
+    const double* __restrict table, size_t stride, size_t classes, int label,
+    size_t count, double* __restrict out) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  size_t mask = 0;
+  for (; mask + 4 <= count; mask += 4) {
+    __m256d best = _mm256_loadu_pd(table + mask);
+    __m256d hit = label == 0 ? one : zero;
+    for (size_t c = 1; c < classes; ++c) {
+      const __m256d v = _mm256_loadu_pd(table + c * stride + mask);
+      const __m256d gt = _mm256_cmp_pd(v, best, _CMP_GT_OQ);
+      best = _mm256_blendv_pd(best, v, gt);
+      hit = _mm256_blendv_pd(
+          hit, static_cast<size_t>(label) == c ? one : zero, gt);
+    }
+    _mm256_storeu_pd(out + mask,
+                     _mm256_add_pd(_mm256_loadu_pd(out + mask), hit));
+  }
+  for (; mask < count; ++mask) {
+    out[mask] += FirstMaxIsLabelRow(table + mask, stride, classes, label);
+  }
+}
+
+/// Masks per fused build step. From 16 on, an aligned block of 16 masks
+/// shares its top bit `high`, so the block is the block `high` lower
+/// plus one broadcast player score per class.
+constexpr size_t kFusedMasks = 16;
+
+/// Builds table masks [block, block + 16) of one row and, when kFold,
+/// adds their first-max hits into `out` straight from the registers the
+/// build left them in — the FirstMaxHitsIntr compare sequence, without a
+/// second pass over the table.
+template <bool kFold>
+BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE void BuildMaskBlockIntr(
+    double* __restrict table, size_t stride, size_t classes,
+    const double* __restrict player, size_t high, size_t block, int label,
+    double* __restrict out) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d best[4] = {zero, zero, zero, zero};
+  __m256d hit[4] = {zero, zero, zero, zero};
+  for (size_t c = 0; c < classes; ++c) {
+    const __m256d b = _mm256_set1_pd(player[c]);
+    const __m256d is_label = static_cast<size_t>(label) == c ? one : zero;
+    double* t = table + c * stride + block;
+    for (size_t u = 0; u < 4; ++u) {
+      const __m256d v = _mm256_add_pd(_mm256_loadu_pd(t - high + 4 * u), b);
+      _mm256_storeu_pd(t + 4 * u, v);
+      if constexpr (kFold) {
+        const __m256d gt = c == 0 ? _mm256_castsi256_pd(_mm256_set1_epi64x(-1))
+                                  : _mm256_cmp_pd(v, best[u], _CMP_GT_OQ);
+        best[u] = _mm256_blendv_pd(best[u], v, gt);
+        hit[u] = _mm256_blendv_pd(hit[u], is_label, gt);
+      }
+    }
+  }
+  if constexpr (kFold) {
+    for (size_t u = 0; u < 4; ++u) {
+      _mm256_storeu_pd(out + 4 * u,
+                       _mm256_add_pd(_mm256_loadu_pd(out + 4 * u), hit[u]));
+    }
+  }
+}
+
+/// CoalitionRowsBase with an intrinsic table build that, for correct
+/// counts, folds each aligned 16-mask block as it is built; the same
+/// adds and compares per element.
+BCFL_TARGET_AVX2 void CoalitionRowsAvx2(const CoalitionRows& job,
+                                        double* __restrict out,
+                                        double* __restrict table) {
+  const size_t masks = size_t{1} << job.players;
+  const size_t classes = job.classes;
+  const bool fold = job.term == CoalitionTerm::kCorrect;
+  // Masks below kFusedMasks (all of them when 2^players < 16) are built
+  // by scalar steps and folded once the row's table is complete.
+  const size_t head = std::min(kFusedMasks, masks);
+  for (size_t r = 0; r < job.rows; ++r) {
+    const int label = job.labels[r];
+    for (size_t c = 0; c < classes; ++c) table[c * masks] = 0.0;
+    for (size_t j = 0, high = 1; high < head; ++j, high <<= 1) {
+      const double* player = job.basis[j] + r * classes;
+      for (size_t c = 0; c < classes; ++c) {
+        double* t = table + c * masks;
+        for (size_t mask = high; mask < 2 * high; ++mask) {
+          t[mask] = t[mask - high] + player[c];
+        }
+      }
+    }
+    for (size_t block = kFusedMasks; block < masks; block += kFusedMasks) {
+      const size_t high = std::bit_floor(block);
+      const double* player =
+          job.basis[std::countr_zero(high)] + r * classes;
+      if (fold) {
+        BuildMaskBlockIntr<true>(table, masks, classes, player, high, block,
+                                 label, out + block);
+      } else {
+        BuildMaskBlockIntr<false>(table, masks, classes, player, high, block,
+                                  label, nullptr);
+      }
+    }
+    if (fold) {
+      FirstMaxHitsIntr(table, masks, classes, label, head, out);
+    } else {
+      FoldNegLogProb(table, masks, classes, label, out);
+    }
+  }
+}
+#endif  // BCFL_KERNELS_HAVE_AVX2_CLONES
+
 /// True when the caller may fan work out to `pool`: a pool is set, the
 /// current thread is not itself a pool worker (re-entering ParallelFor
 /// from a worker runs inline anyway), and the pool has real parallelism.
@@ -906,6 +1104,31 @@ double FusedSoftmaxCeStep(const double* aug, size_t rows, size_t cols,
   return PickFused(classes)(aug, rows, cols, labels, learning_rate, l2,
                             weights, scratch->logits.data(),
                             scratch->grad.data());
+}
+
+void ScoreCoalitionRows(const CoalitionRows& job, double* out,
+                        Dispatch dispatch) {
+  RecordPathOnce();
+  std::vector<double> table((size_t{1} << job.players) * job.classes);
+#if BCFL_KERNELS_HAVE_AVX2_CLONES
+  if (dispatch == Dispatch::kAuto && HasAvx2()) {
+    CoalitionRowsAvx2(job, out, table.data());
+    return;
+  }
+#else
+  (void)dispatch;
+#endif
+  CoalitionRowsBase(job, out, table.data());
+}
+
+double CoalitionRowTerm(CoalitionTerm term, const double* scores,
+                        size_t classes, int label, size_t coalition_size) {
+  if (term == CoalitionTerm::kCorrect) {
+    return FirstMaxIsLabelRow(scores, 1, classes, label);
+  }
+  return NegLogProbRow(
+      scores, 1, classes, label,
+      coalition_size > 1 ? 1.0 / static_cast<double>(coalition_size) : 1.0);
 }
 
 }  // namespace bcfl::ml::kernels

@@ -92,6 +92,55 @@ double FusedSoftmaxCeStep(const double* aug, size_t rows, size_t cols,
                           double learning_rate, double l2, double* weights,
                           FusedStepScratch* scratch);
 
+/// The per-test-row term ScoreCoalitionRows folds for each coalition.
+enum class CoalitionTerm {
+  /// 1 when the first maximum of the coalition's score row sits at the
+  /// row's label, else 0; the sum over rows is the correct count.
+  kCorrect,
+  /// -log p(label) under a softmax of the coalition's *mean* score row
+  /// (the sum times 1/|S| when |S| > 1), p clamped at 1e-12; the sum
+  /// over rows is the log-loss numerator.
+  kNegLogProb,
+};
+
+/// Codegen a kernel runs on. kAuto takes AVX2 where the CPU has it;
+/// tests and bench_kernels also pin kScalar, the baseline codegen, to
+/// check that the two agree bit for bit.
+enum class Dispatch { kAuto, kScalar };
+
+/// One ScoreCoalitionRows job: every test row folded into every one of
+/// the 2^players coalitions.
+struct CoalitionRows {
+  CoalitionTerm term = CoalitionTerm::kCorrect;
+  /// basis[j]: player j's rows x classes row-major score matrix.
+  const double* const* basis = nullptr;
+  size_t players = 0;
+  size_t rows = 0;
+  size_t classes = 0;
+  const int* labels = nullptr;  ///< One per row.
+};
+
+/// Row-streamed coalition scoring. For each test row, in ascending
+/// order, builds the score rows of all 2^players coalitions in a
+/// class-major 2^players x classes table — s[0] = 0 and
+/// s[mask] = s[mask ^ high] + basis[high][row] for mask's top bit
+/// `high`, i.e. one broadcast add per class over masks [2^j, 2^(j+1))
+/// for each bit j — and adds the row's `term` of each coalition into
+/// out[mask]. Each table entry is the single add a materialized
+/// subset-sum score table would do, so `out` is bit-identical to
+/// folding CoalitionRowTerm over explicit subset sums. At m = 9 and 10
+/// classes the table is 40 KB and stays cache-resident; nothing of size
+/// rows x 2^m is ever stored.
+void ScoreCoalitionRows(const CoalitionRows& job, double* out,
+                        Dispatch dispatch = Dispatch::kAuto);
+
+/// The `term` of one explicit coalition score row (`scores`, the sum of
+/// the members' rows) for a coalition of `coalition_size` members: what
+/// ScoreCoalitionRows adds per row and coalition. With coalition_size 1
+/// it is also the per-row term of ml's accuracy and log-loss evaluators.
+double CoalitionRowTerm(CoalitionTerm term, const double* scores,
+                        size_t classes, int label, size_t coalition_size);
+
 /// Pool used by Gemm/GemmTransA for row-partitioned parallelism above a
 /// size threshold (nullptr = always serial). Partitioning is by output
 /// rows in fixed-size chunks, so results are bit-identical for every

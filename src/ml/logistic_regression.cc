@@ -145,30 +145,6 @@ namespace {
 /// block (256 x classes doubles) stays cache-resident.
 constexpr size_t kEvalRowBlock = 256;
 
-/// Index of the first maximum, matching std::max_element tie-breaking.
-inline size_t ArgmaxRow(const double* row, size_t n) {
-  size_t best = 0;
-  for (size_t c = 1; c < n; ++c) {
-    if (row[c] > row[best]) best = c;
-  }
-  return best;
-}
-
-/// -log p(label) for one score row under a softmax, with the same
-/// exp/sum/divide operation order as SoftmaxRowsInPlace + LogLoss.
-inline double RowNegLogProb(const double* row, size_t n, int label) {
-  double max_score = row[0];
-  for (size_t c = 1; c < n; ++c) max_score = std::max(max_score, row[c]);
-  double sum = 0.0;
-  double e_label = 0.0;
-  for (size_t c = 0; c < n; ++c) {
-    const double e = std::exp(row[c] - max_score);
-    sum += e;
-    if (static_cast<size_t>(label) == c) e_label = e;
-  }
-  return -std::log(std::max(e_label / sum, 1e-12));
-}
-
 Status CheckEvalShapes(size_t rows, size_t labels, size_t classes) {
   if (rows == 0) return Status::InvalidArgument("empty dataset");
   if (labels != rows) {
@@ -195,19 +171,18 @@ Result<double> AccuracyFromAugmented(const Matrix& aug_features,
   const size_t rows = aug_features.rows();
   const size_t cols = aug_features.cols();
   std::vector<double> logits(kEvalRowBlock * classes);
-  size_t correct = 0;
+  double correct = 0.0;
   for (size_t r0 = 0; r0 < rows; r0 += kEvalRowBlock) {
     const size_t block = std::min(kEvalRowBlock, rows - r0);
     kernels::Gemm(aug_features.Row(r0), block, cols, weights.data().data(),
                   classes, logits.data());
     for (size_t i = 0; i < block; ++i) {
-      if (static_cast<int>(ArgmaxRow(logits.data() + i * classes, classes)) ==
-          labels[r0 + i]) {
-        ++correct;
-      }
+      correct += kernels::CoalitionRowTerm(kernels::CoalitionTerm::kCorrect,
+                                           logits.data() + i * classes,
+                                           classes, labels[r0 + i], 1);
     }
   }
-  return static_cast<double>(correct) / static_cast<double>(rows);
+  return correct / static_cast<double>(rows);
 }
 
 Result<double> LogLossFromAugmented(const Matrix& aug_features,
@@ -229,8 +204,9 @@ Result<double> LogLossFromAugmented(const Matrix& aug_features,
     kernels::Gemm(aug_features.Row(r0), block, cols, weights.data().data(),
                   classes, logits.data());
     for (size_t i = 0; i < block; ++i) {
-      loss += RowNegLogProb(logits.data() + i * classes, classes,
-                            labels[r0 + i]);
+      loss += kernels::CoalitionRowTerm(kernels::CoalitionTerm::kNegLogProb,
+                                        logits.data() + i * classes, classes,
+                                        labels[r0 + i], 1);
     }
   }
   return loss / static_cast<double>(rows);
@@ -240,14 +216,13 @@ Result<double> AccuracyFromScores(const Matrix& scores,
                                   const std::vector<int>& labels) {
   BCFL_RETURN_IF_ERROR(
       CheckEvalShapes(scores.rows(), labels.size(), scores.cols()));
-  size_t correct = 0;
+  double correct = 0.0;
   for (size_t i = 0; i < scores.rows(); ++i) {
-    if (static_cast<int>(ArgmaxRow(scores.Row(i), scores.cols())) ==
-        labels[i]) {
-      ++correct;
-    }
+    correct += kernels::CoalitionRowTerm(kernels::CoalitionTerm::kCorrect,
+                                         scores.Row(i), scores.cols(),
+                                         labels[i], 1);
   }
-  return static_cast<double>(correct) / static_cast<double>(scores.rows());
+  return correct / static_cast<double>(scores.rows());
 }
 
 Result<double> LogLossFromScores(const Matrix& scores,
@@ -256,7 +231,9 @@ Result<double> LogLossFromScores(const Matrix& scores,
       CheckEvalShapes(scores.rows(), labels.size(), scores.cols()));
   double loss = 0.0;
   for (size_t i = 0; i < scores.rows(); ++i) {
-    loss += RowNegLogProb(scores.Row(i), scores.cols(), labels[i]);
+    loss += kernels::CoalitionRowTerm(kernels::CoalitionTerm::kNegLogProb,
+                                      scores.Row(i), scores.cols(), labels[i],
+                                      1);
   }
   return loss / static_cast<double>(scores.rows());
 }

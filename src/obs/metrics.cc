@@ -125,25 +125,7 @@ double Histogram::Percentile(double q) const {
   const std::vector<uint64_t> buckets = BucketCounts();
   uint64_t total = 0;
   for (uint64_t c : buckets) total += c;
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    const uint64_t next = cumulative + buckets[i];
-    if (static_cast<double>(next) >= target) {
-      // Interpolate inside bucket i: [lower, upper].
-      const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      const double upper = i < bounds_.size() ? bounds_[i] : Max();
-      const double fraction =
-          (target - static_cast<double>(cumulative)) /
-          static_cast<double>(buckets[i]);
-      return lower + (upper - lower) * std::clamp(fraction, 0.0, 1.0);
-    }
-    cumulative = next;
-  }
-  return Max();
+  return PercentileFromBuckets(bounds_, buckets, total, Max(), q);
 }
 
 void Histogram::Reset() {
@@ -198,11 +180,6 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
   return *it->second;
 }
 
-namespace {
-
-/// Linear-interpolated percentile over an already-materialised bucket
-/// vector (same estimator as Histogram::Percentile, but computed from a
-/// snapshot so every quantile of one scrape agrees with its buckets).
 double PercentileFromBuckets(const std::vector<double>& bounds,
                              const std::vector<uint64_t>& buckets,
                              uint64_t total, double max_value, double q) {
@@ -214,8 +191,10 @@ double PercentileFromBuckets(const std::vector<double>& bounds,
     if (buckets[i] == 0) continue;
     const uint64_t next = cumulative + buckets[i];
     if (static_cast<double>(next) >= target) {
+      // Interpolate inside bucket i: [lower, upper].
       const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double upper = i < bounds.size() ? bounds[i] : max_value;
+      const double upper =
+          i < bounds.size() ? bounds[i] : std::max(lower, max_value);
       const double fraction = (target - static_cast<double>(cumulative)) /
                               static_cast<double>(buckets[i]);
       return lower + (upper - lower) * std::clamp(fraction, 0.0, 1.0);
@@ -224,8 +203,6 @@ double PercentileFromBuckets(const std::vector<double>& bounds,
   }
   return max_value;
 }
-
-}  // namespace
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);

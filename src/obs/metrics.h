@@ -128,6 +128,17 @@ class Histogram {
   std::array<Shard, kMetricShards> shards_;
 };
 
+/// Linear-interpolated percentile (q in [0, 1]) over a bucket vector
+/// with ascending upper `bounds` and one overflow bucket last, `total`
+/// its sum (0 when empty). The overflow bucket spans [last bound,
+/// max_value], its upper edge clamped to at least its lower one: an
+/// Observe bumps its bucket before it raises the max, so a racing read
+/// (or a Reset in between) can see an overflow count with a stale or
+/// -inf max, which must not pull the estimate below the bucket.
+double PercentileFromBuckets(const std::vector<double>& bounds,
+                             const std::vector<uint64_t>& buckets,
+                             uint64_t total, double max_value, double q);
+
 /// Point-in-time copy of every instrument, safe to render (JSON,
 /// Prometheus text) without holding the registry lock. Quantiles are
 /// pre-estimated so exposition endpoints serve them without touching

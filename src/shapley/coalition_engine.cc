@@ -61,53 +61,78 @@ Result<std::vector<double>> CoalitionEngine::EvaluateMeanCoalitions(
   }
   BCFL_RETURN_IF_ERROR(CheckPlayerModels(player_models));
 
-  auto* linear_utility = dynamic_cast<LinearScoreUtility*>(utility_);
-  const bool linear = linear_utility != nullptr;
-
-  // Basis of the subset sums: per-player score matrices on the linear
-  // fast path (one X * W product per *player*, not per coalition), the
-  // raw weight matrices otherwise.
-  std::vector<ml::Matrix> score_basis;
-  if (linear) {
-    stats_.used_linear_scores = true;
-    score_basis.resize(m);
-    std::vector<Status> statuses(m, Status::OK());
-    auto project = [&](size_t j) {
-      auto scores = linear_utility->PlayerScores(player_models[j]);
-      if (scores.ok()) {
-        score_basis[j] = std::move(scores).value();
-      } else {
-        statuses[j] = scores.status();
-      }
-    };
-    if (config_.pool != nullptr) {
-      config_.pool->ParallelFor(m, project, /*grain=*/1);
-    } else {
-      for (size_t j = 0; j < m; ++j) project(j);
-    }
-    for (const Status& s : statuses) {
-      BCFL_RETURN_IF_ERROR(s);
-    }
+  // Linear-score utilities stream coalition scores row by row through a
+  // 2^m x classes table; any other utility, or a streamed table above the
+  // memory bound, scores mean models built in weight space.
+  auto* linear = dynamic_cast<LinearScoreUtility*>(utility_);
+  const size_t coalitions = size_t{1} << m;
+  const size_t row_table_bytes =
+      coalitions * player_models[0].cols() * sizeof(double);
+  const size_t model_table_bytes =
+      coalitions * player_models[0].size() * sizeof(double);
+  Result<std::vector<double>> result = std::vector<double>{};
+  if (linear != nullptr && row_table_bytes <= config_.max_table_bytes) {
+    result = MeanCoalitionsStreamed(player_models, linear);
+  } else if (linear != nullptr ||
+             model_table_bytes > config_.max_table_bytes) {
+    result = MeanCoalitionsGrayCode(player_models);
+  } else {
+    result = MeanCoalitionsSubsetSum(player_models);
   }
-  const std::vector<ml::Matrix>& basis = linear ? score_basis : player_models;
-
-  const uint64_t full = 1ULL << m;
-  const size_t table_bytes = static_cast<size_t>(full) * basis[0].size() *
-                             sizeof(double);
-  Result<std::vector<double>> result =
-      table_bytes > config_.max_table_bytes
-          ? MeanCoalitionsGrayCode(basis, linear, linear_utility)
-          : MeanCoalitionsSubsetSum(basis, linear, linear_utility);
   if (result.ok()) RecordEngineStats(stats_);
   return result;
 }
 
-Result<double> CoalitionEngine::ScoreCoalition(
-    const ml::Matrix& sum, size_t coalition_size, bool linear,
-    LinearScoreUtility* linear_utility) {
-  if (linear) {
-    return linear_utility->EvaluateScoreSum(sum, coalition_size);
+Result<std::vector<double>> CoalitionEngine::MeanCoalitionsStreamed(
+    const std::vector<ml::Matrix>& player_models,
+    LinearScoreUtility* utility) {
+  const size_t m = player_models.size();
+  const size_t full = static_cast<size_t>(1ULL << m);
+  stats_.used_linear_scores = true;
+
+  // One X * W product per *player*, not per coalition.
+  std::vector<ml::Matrix> scores(m);
+  std::vector<Status> statuses(m, Status::OK());
+  auto project = [&](size_t j) {
+    auto s = utility->PlayerScores(player_models[j]);
+    if (s.ok()) {
+      scores[j] = std::move(s).value();
+    } else {
+      statuses[j] = s.status();
+    }
+  };
+  if (config_.pool != nullptr) {
+    config_.pool->ParallelFor(m, project, /*grain=*/1);
+  } else {
+    for (size_t j = 0; j < m; ++j) project(j);
   }
+  for (const Status& s : statuses) {
+    BCFL_RETURN_IF_ERROR(s);
+  }
+  const size_t rows = scores[0].rows();
+  if (rows == 0) return Status::InvalidArgument("empty test set");
+  std::vector<const double*> basis(m);
+  for (size_t j = 0; j < m; ++j) basis[j] = scores[j].data().data();
+
+  ml::kernels::CoalitionRows job;
+  job.term = utility->row_term();
+  job.basis = basis.data();
+  job.players = m;
+  job.rows = rows;
+  job.classes = scores[0].cols();
+  job.labels = utility->test_set().labels().data();
+  std::vector<double> totals(full, 0.0);
+  ml::kernels::ScoreCoalitionRows(job, totals.data());
+  for (double& t : totals) t = utility->UtilityFromRowTotal(t);
+  // The same 2^m - 1 subset-sum adds per score element as a materialized
+  // table, one row at a time.
+  stats_.matrix_additions += full - 1;
+  stats_.utility_evaluations += full;
+  return totals;
+}
+
+Result<double> CoalitionEngine::ScoreCoalition(const ml::Matrix& sum,
+                                               size_t coalition_size) {
   if (coalition_size == 0) {
     return utility_->Evaluate(sum);  // All-zero: the untrained model.
   }
@@ -116,8 +141,7 @@ Result<double> CoalitionEngine::ScoreCoalition(
 }
 
 Result<std::vector<double>> CoalitionEngine::MeanCoalitionsSubsetSum(
-    const std::vector<ml::Matrix>& basis, bool linear,
-    LinearScoreUtility* linear_utility) {
+    const std::vector<ml::Matrix>& basis) {
   const size_t m = basis.size();
   const uint64_t full = 1ULL << m;
 
@@ -142,8 +166,7 @@ Result<std::vector<double>> CoalitionEngine::MeanCoalitionsSubsetSum(
   auto score_one = [&](size_t mask) {
     auto u = ScoreCoalition(sums[mask],
                             static_cast<size_t>(std::popcount(
-                                static_cast<uint64_t>(mask))),
-                            linear, linear_utility);
+                                static_cast<uint64_t>(mask))));
     if (u.ok()) {
       utilities[mask] = *u;
     } else {
@@ -166,8 +189,7 @@ Result<std::vector<double>> CoalitionEngine::MeanCoalitionsSubsetSum(
 }
 
 Result<std::vector<double>> CoalitionEngine::MeanCoalitionsGrayCode(
-    const std::vector<ml::Matrix>& basis, bool linear,
-    LinearScoreUtility* linear_utility) {
+    const std::vector<ml::Matrix>& basis) {
   const size_t m = basis.size();
   const uint64_t full = 1ULL << m;
   stats_.used_gray_code = true;
@@ -178,8 +200,7 @@ Result<std::vector<double>> CoalitionEngine::MeanCoalitionsGrayCode(
   // state — so it trades the pool for O(1) memory.
   ml::Matrix running(basis[0].rows(), basis[0].cols());
   std::vector<double> utilities(full);
-  BCFL_ASSIGN_OR_RETURN(utilities[0],
-                        ScoreCoalition(running, 0, linear, linear_utility));
+  BCFL_ASSIGN_OR_RETURN(utilities[0], ScoreCoalition(running, 0));
   stats_.utility_evaluations += 1;
   uint64_t prev_gray = 0;
   for (uint64_t k = 1; k < full; ++k) {
@@ -195,9 +216,7 @@ Result<std::vector<double>> CoalitionEngine::MeanCoalitionsGrayCode(
     }
     BCFL_ASSIGN_OR_RETURN(
         utilities[gray],
-        ScoreCoalition(running,
-                       static_cast<size_t>(std::popcount(gray)), linear,
-                       linear_utility));
+        ScoreCoalition(running, static_cast<size_t>(std::popcount(gray))));
     stats_.utility_evaluations += 1;
     prev_gray = gray;
   }

@@ -17,10 +17,13 @@ struct CoalitionEngineConfig {
   ThreadPool* pool = nullptr;
   /// Chunk size handed to ThreadPool::ParallelFor (0 = automatic).
   size_t grain = 0;
-  /// Upper bound on the memory the subset-sum table may occupy. Above it
-  /// the engine falls back to Gray-code running sums: O(1) model-sized
-  /// state, still one add/sub per coalition, but inherently serial.
-  /// 2^m tables for the paper's m <= 9 are well below the default.
+  /// Upper bound on the memory the coalition table may occupy: the
+  /// streamed 2^m x classes row table for linear-score utilities, the
+  /// weight-space subset-sum table (2^m models) for any other. Above it
+  /// the engine falls back to Gray-code running sums over the models:
+  /// O(1) model-sized state, still one add/sub per coalition, but
+  /// inherently serial. 2^m tables for the paper's m <= 9 are well below
+  /// the default.
   size_t max_table_bytes = size_t{1} << 28;  // 256 MiB
 };
 
@@ -28,7 +31,9 @@ struct CoalitionEngineConfig {
 /// complexity contract (exactly 2^m - 1 matrix additions to build all
 /// coalition models).
 struct CoalitionEngineStats {
-  size_t matrix_additions = 0;     ///< Adds in the subset-sum / Gray build.
+  /// Adds in the subset-sum / Gray build (on the streamed linear path,
+  /// the 2^m - 1 score-space adds each test row's table takes).
+  size_t matrix_additions = 0;
   size_t matrix_subtractions = 0;  ///< Gray-code path only.
   size_t utility_evaluations = 0;  ///< One per coalition mask.
   bool used_linear_scores = false; ///< LinearScoreUtility fast path taken.
@@ -47,14 +52,18 @@ struct CoalitionEngineStats {
 ///     Removing the *highest* bit reproduces the ascending-index
 ///     accumulation order of the naive loop, so results match it bit
 ///     for bit.
-///  2. Linear-score fast path — when the utility implements
+///  2. Row-streamed linear scores — when the utility implements
 ///     LinearScoreUtility, the DP runs over per-player score matrices
-///     (X_aug * W_j, computed once per player) and each coalition is
-///     scored straight from its score sum, skipping the per-coalition
-///     X * W product entirely.
-///  3. Parallel utility evaluation — coalition scores are independent, so
-///     they run on the pool with results written to index-addressed
-///     slots; output is deterministic regardless of thread count.
+///     (X_aug * W_j, computed once per player) one test row at a time:
+///     kernels::ScoreCoalitionRows builds the row's 2^m x classes score
+///     table (cache-resident; 40 KB at m = 9) and folds each coalition's
+///     row term into its total, so no per-coalition X * W product and no
+///     2^m x rows x classes table is ever materialized.
+///  3. Parallel evaluation — weight-space coalition scores are
+///     independent, so they run on the pool into index-addressed slots;
+///     on the streamed path the pool computes the per-player score
+///     matrices, and the row stream itself is serial. Output is
+///     bit-identical regardless of thread count.
 ///  4. Chunked dispatch — the 2^m-sized loop reaches the pool through
 ///     grain-size chunks (ThreadPool::ParallelFor), not one closure per
 ///     mask.
@@ -81,15 +90,14 @@ class CoalitionEngine {
   const CoalitionEngineStats& stats() const { return stats_; }
 
  private:
+  Result<std::vector<double>> MeanCoalitionsStreamed(
+      const std::vector<ml::Matrix>& player_models,
+      LinearScoreUtility* utility);
   Result<std::vector<double>> MeanCoalitionsSubsetSum(
-      const std::vector<ml::Matrix>& basis, bool linear,
-      LinearScoreUtility* linear_utility);
+      const std::vector<ml::Matrix>& basis);
   Result<std::vector<double>> MeanCoalitionsGrayCode(
-      const std::vector<ml::Matrix>& basis, bool linear,
-      LinearScoreUtility* linear_utility);
-  Result<double> ScoreCoalition(const ml::Matrix& sum, size_t coalition_size,
-                                bool linear,
-                                LinearScoreUtility* linear_utility);
+      const std::vector<ml::Matrix>& basis);
+  Result<double> ScoreCoalition(const ml::Matrix& sum, size_t coalition_size);
 
   UtilityFunction* utility_;
   CoalitionEngineConfig config_;

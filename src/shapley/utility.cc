@@ -23,61 +23,60 @@ Status CheckWeightShape(const ml::Matrix& weights, size_t num_features) {
 
 }  // namespace
 
-TestAccuracyUtility::TestAccuracyUtility(ml::Dataset test_set)
+LinearScoreUtility::LinearScoreUtility(ml::Dataset test_set)
     : test_set_(std::move(test_set)),
       augmented_(ml::LogisticRegression::Augment(test_set_.features())) {}
 
-Status TestAccuracyUtility::CheckWeights(const ml::Matrix& weights) const {
+Status LinearScoreUtility::CheckWeights(const ml::Matrix& weights) const {
   return CheckWeightShape(weights, test_set_.num_features());
 }
+
+Result<ml::Matrix> LinearScoreUtility::PlayerScores(
+    const ml::Matrix& weights) const {
+  BCFL_RETURN_IF_ERROR(CheckWeights(weights));
+  return augmented_.MatMul(weights);
+}
+
+Result<double> LinearScoreUtility::EvaluateScoreSum(
+    const ml::Matrix& score_sum, size_t coalition_size) const {
+  const std::vector<int>& labels = test_set_.labels();
+  if (score_sum.rows() == 0 || score_sum.rows() != labels.size() ||
+      score_sum.cols() < 2) {
+    return Status::InvalidArgument(
+        "score sum must be examples x classes with classes >= 2");
+  }
+  const ml::kernels::CoalitionTerm term = row_term();
+  double total = 0.0;
+  for (size_t i = 0; i < score_sum.rows(); ++i) {
+    total += ml::kernels::CoalitionRowTerm(term, score_sum.Row(i),
+                                           score_sum.cols(), labels[i],
+                                           coalition_size);
+  }
+  return UtilityFromRowTotal(total);
+}
+
+double LinearScoreUtility::UtilityFromRowTotal(double total) const {
+  const double mean =
+      total / static_cast<double>(test_set_.num_examples());
+  return row_term() == ml::kernels::CoalitionTerm::kCorrect ? mean : -mean;
+}
+
+TestAccuracyUtility::TestAccuracyUtility(ml::Dataset test_set)
+    : LinearScoreUtility(std::move(test_set)) {}
 
 Result<double> TestAccuracyUtility::Evaluate(const ml::Matrix& weights) {
   BCFL_RETURN_IF_ERROR(CheckWeights(weights));
   return ml::AccuracyFromAugmented(augmented_, test_set_.labels(), weights);
 }
 
-Result<ml::Matrix> TestAccuracyUtility::PlayerScores(
-    const ml::Matrix& weights) const {
-  BCFL_RETURN_IF_ERROR(CheckWeights(weights));
-  return augmented_.MatMul(weights);
-}
-
-Result<double> TestAccuracyUtility::EvaluateScoreSum(
-    const ml::Matrix& score_sum, size_t /*coalition_size*/) const {
-  return ml::AccuracyFromScores(score_sum, test_set_.labels());
-}
-
 NegLogLossUtility::NegLogLossUtility(ml::Dataset test_set)
-    : test_set_(std::move(test_set)),
-      augmented_(ml::LogisticRegression::Augment(test_set_.features())) {}
-
-Status NegLogLossUtility::CheckWeights(const ml::Matrix& weights) const {
-  return CheckWeightShape(weights, test_set_.num_features());
-}
+    : LinearScoreUtility(std::move(test_set)) {}
 
 Result<double> NegLogLossUtility::Evaluate(const ml::Matrix& weights) {
   BCFL_RETURN_IF_ERROR(CheckWeights(weights));
   BCFL_ASSIGN_OR_RETURN(
       double loss,
       ml::LogLossFromAugmented(augmented_, test_set_.labels(), weights));
-  return -loss;
-}
-
-Result<ml::Matrix> NegLogLossUtility::PlayerScores(
-    const ml::Matrix& weights) const {
-  BCFL_RETURN_IF_ERROR(CheckWeights(weights));
-  return augmented_.MatMul(weights);
-}
-
-Result<double> NegLogLossUtility::EvaluateScoreSum(
-    const ml::Matrix& score_sum, size_t coalition_size) const {
-  // Log-loss is not scale-invariant: rebuild the mean model's scores.
-  ml::Matrix mean_scores =
-      coalition_size > 1
-          ? score_sum.Scaled(1.0 / static_cast<double>(coalition_size))
-          : score_sum;
-  BCFL_ASSIGN_OR_RETURN(
-      double loss, ml::LogLossFromScores(mean_scores, test_set_.labels()));
   return -loss;
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/result.h"
 #include "ml/dataset.h"
+#include "ml/kernels.h"
 #include "ml/logistic_regression.h"
 #include "ml/matrix.h"
 
@@ -32,74 +33,72 @@ class UtilityFunction {
   virtual Result<double> Evaluate(const ml::Matrix& weights) = 0;
 };
 
-/// Optional fast-path capability for utilities whose score depends on the
-/// weights only through the per-example score matrix X_aug * W. Because
-/// that map is linear in W, the score matrix of a mean-aggregated
-/// coalition model is the (scaled) *sum* of the members' score matrices —
-/// so an engine can precompute one score matrix per player and rebuild
-/// every coalition's scores with a single matrix add each, instead of a
-/// full X * W product per coalition. Same concurrency contract as
-/// `UtilityFunction::Evaluate` for both methods.
-class LinearScoreUtility {
+/// Fast-path capability for utilities that score a model only through
+/// its per-example score matrix X_aug * W on a held-out test set, one
+/// term per test row (`row_term()`, the one hook subclasses implement).
+/// Because X_aug * W is linear in W, the score matrix of a
+/// mean-aggregated coalition model is the (scaled) *sum* of the members'
+/// score matrices — so an engine can precompute one score matrix per
+/// player and score every coalition from sums of those rows
+/// (kernels::ScoreCoalitionRows), with no X * W product per coalition.
+///
+/// The bias-augmented test matrix is built once in the constructor and
+/// shared (read-only) by every evaluation. Immutable after construction,
+/// so every method is safe to call concurrently.
+class LinearScoreUtility : public UtilityFunction {
  public:
-  virtual ~LinearScoreUtility() = default;
+  /// The per-test-row term whose sum over the test set, in ascending row
+  /// order, makes the utility (see `UtilityFromRowTotal`).
+  virtual ml::kernels::CoalitionTerm row_term() const = 0;
+
   /// The per-example score ("logit") matrix X_aug * W for one player.
-  virtual Result<ml::Matrix> PlayerScores(const ml::Matrix& weights) const = 0;
+  Result<ml::Matrix> PlayerScores(const ml::Matrix& weights) const;
   /// Utility of the coalition whose member score matrices sum to
   /// `score_sum`. `coalition_size` = |S| (0 for the empty coalition, in
   /// which case `score_sum` is all zeros — the untrained model).
-  virtual Result<double> EvaluateScoreSum(const ml::Matrix& score_sum,
-                                          size_t coalition_size) const = 0;
+  Result<double> EvaluateScoreSum(const ml::Matrix& score_sum,
+                                  size_t coalition_size) const;
+  /// Utility from the sum of a coalition's row terms over the test set.
+  double UtilityFromRowTotal(double total) const;
+
+  const ml::Dataset& test_set() const { return test_set_; }
+
+ protected:
+  explicit LinearScoreUtility(ml::Dataset test_set);
+  Status CheckWeights(const ml::Matrix& weights) const;
+
+  ml::Dataset test_set_;
+  ml::Matrix augmented_;  ///< Bias-augmented features, built once.
 };
 
 /// The paper's utility: accuracy of the coalition model on a held-out
 /// test set (agreed upon at the off-chain setup stage and therefore
-/// evaluable deterministically by every miner).
-///
-/// The bias-augmented test matrix is built once in the constructor and
-/// shared (read-only) by every evaluation, and the accuracy is computed
-/// by the fused kernel — no per-evaluation copy of the test set and no
-/// intermediate probability matrix. Immutable after construction.
-class TestAccuracyUtility : public UtilityFunction,
-                            public LinearScoreUtility {
+/// evaluable deterministically by every miner). `Evaluate` runs the
+/// fused kernel — no per-evaluation copy of the test set and no
+/// intermediate probability matrix.
+class TestAccuracyUtility : public LinearScoreUtility {
  public:
   explicit TestAccuracyUtility(ml::Dataset test_set);
 
   Result<double> Evaluate(const ml::Matrix& weights) override;
-
-  Result<ml::Matrix> PlayerScores(const ml::Matrix& weights) const override;
   /// Accuracy only needs the row argmax, which is invariant to the
   /// positive 1/|S| rescaling — the raw sum is scored directly.
-  Result<double> EvaluateScoreSum(const ml::Matrix& score_sum,
-                                  size_t coalition_size) const override;
-
-  const ml::Dataset& test_set() const { return test_set_; }
-
- private:
-  Status CheckWeights(const ml::Matrix& weights) const;
-
-  ml::Dataset test_set_;
-  ml::Matrix augmented_;  ///< Bias-augmented features, built once.
+  ml::kernels::CoalitionTerm row_term() const override {
+    return ml::kernels::CoalitionTerm::kCorrect;
+  }
 };
 
 /// Negative log-loss utility — smoother than accuracy, used in ablations.
-/// Same construction-time augmentation and fused path; immutable after
-/// construction.
-class NegLogLossUtility : public UtilityFunction, public LinearScoreUtility {
+class NegLogLossUtility : public LinearScoreUtility {
  public:
   explicit NegLogLossUtility(ml::Dataset test_set);
 
   Result<double> Evaluate(const ml::Matrix& weights) override;
-
-  Result<ml::Matrix> PlayerScores(const ml::Matrix& weights) const override;
-  Result<double> EvaluateScoreSum(const ml::Matrix& score_sum,
-                                  size_t coalition_size) const override;
-
- private:
-  Status CheckWeights(const ml::Matrix& weights) const;
-
-  ml::Dataset test_set_;
-  ml::Matrix augmented_;  ///< Bias-augmented features, built once.
+  /// Log-loss is not scale-invariant: the term rescales the sum to the
+  /// mean model's scores.
+  ml::kernels::CoalitionTerm row_term() const override {
+    return ml::kernels::CoalitionTerm::kNegLogProb;
+  }
 };
 
 /// Memoizing decorator: caches utility values keyed by a SHA-256 of the

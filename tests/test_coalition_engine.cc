@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "data/digits.h"
+#include "ml/logistic_regression.h"
 #include "shapley/shapley_math.h"
 
 namespace bcfl::shapley {
@@ -49,6 +50,52 @@ class FailingUtility : public UtilityFunction {
     return weights.At(0, 0);
   }
 };
+
+/// Test accuracy without the linear-score capability, so the engine
+/// scores mean models in weight space.
+class WeightSpaceAccuracy : public UtilityFunction {
+ public:
+  explicit WeightSpaceAccuracy(ml::Dataset data) : inner_(std::move(data)) {}
+  Result<double> Evaluate(const ml::Matrix& weights) override {
+    return inner_.Evaluate(weights);
+  }
+
+ private:
+  TestAccuracyUtility inner_;
+};
+
+/// The table the streamed path replaced: every coalition's score sum
+/// materialized (2^m - 1 matrix adds, highest member last), then scored
+/// by AccuracyFromScores, or by -LogLossFromScores on the 1/|S|-scaled
+/// mean scores.
+std::vector<double> MaterializedScoreTable(const std::vector<ml::Matrix>& models,
+                                           const LinearScoreUtility& utility,
+                                           bool log_loss) {
+  std::vector<ml::Matrix> scores;
+  for (const ml::Matrix& model : models) {
+    scores.push_back(utility.PlayerScores(model).value());
+  }
+  const std::vector<int>& labels = utility.test_set().labels();
+  std::vector<ml::Matrix> sums(size_t{1} << models.size());
+  sums[0] = ml::Matrix(scores[0].rows(), scores[0].cols());
+  std::vector<double> table(sums.size());
+  for (uint64_t mask = 0; mask < sums.size(); ++mask) {
+    if (mask > 0) {
+      const int high = std::bit_width(mask) - 1;
+      sums[mask] = sums[mask ^ (1ULL << high)];
+      EXPECT_TRUE(sums[mask].AddInPlace(scores[high]).ok());
+    }
+    const size_t members = static_cast<size_t>(std::popcount(mask));
+    table[mask] =
+        log_loss
+            ? -ml::LogLossFromScores(
+                   members > 1 ? sums[mask].Scaled(1.0 / members) : sums[mask],
+                   labels)
+                   .value()
+            : ml::AccuracyFromScores(sums[mask], labels).value();
+  }
+  return table;
+}
 
 /// The seed implementation: rebuild each coalition from scratch.
 Result<double> NaiveCoalitionUtility(const std::vector<ml::Matrix>& models,
@@ -156,11 +203,49 @@ TEST(CoalitionEngineTest, LinearScorePathAgreesWithWeightPath) {
   }
 }
 
+TEST(CoalitionEngineTest, StreamedTableMatchesMaterializedScoreTable) {
+  // Both linear-score terms, m = 1..10, no pool and pools of 1, 3 and 8:
+  // every entry bit-equal to the materialized subset-sum score table.
+  ml::Dataset data = SmallTestSet();
+  TestAccuracyUtility accuracy(data);
+  NegLogLossUtility log_loss(data);
+  ThreadPool pool1(1), pool3(3), pool8(8);
+  for (size_t m = 1; m <= 10; ++m) {
+    auto models = RandomModels(m, data.num_features() + 1, 10, 300 + m);
+    for (LinearScoreUtility* utility :
+         {static_cast<LinearScoreUtility*>(&accuracy),
+          static_cast<LinearScoreUtility*>(&log_loss)}) {
+      const bool is_log_loss = utility == &log_loss;
+      const std::vector<double> expected =
+          MaterializedScoreTable(models, *utility, is_log_loss);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1,
+                               &pool3, &pool8}) {
+        CoalitionEngineConfig config;
+        config.pool = pool;
+        CoalitionEngine engine(utility, config);
+        auto table = engine.EvaluateMeanCoalitions(models);
+        ASSERT_TRUE(table.ok());
+        EXPECT_TRUE(engine.stats().used_linear_scores);
+        EXPECT_EQ(engine.stats().utility_evaluations, size_t{1} << m);
+        ASSERT_EQ(table->size(), expected.size());
+        for (size_t mask = 0; mask < expected.size(); ++mask) {
+          EXPECT_EQ(std::bit_cast<uint64_t>((*table)[mask]),
+                    std::bit_cast<uint64_t>(expected[mask]))
+              << "m " << m << (is_log_loss ? " log-loss" : " accuracy")
+              << " pool " << (pool ? pool->num_threads() : 0) << " mask "
+              << mask;
+        }
+      }
+    }
+  }
+}
+
 TEST(CoalitionEngineTest, GrayCodeFallbackMatchesSubsetSum) {
+  // The weight-space paths only: linear-score utilities always stream.
   const size_t m = 6;
   ml::Dataset data = SmallTestSet();
   auto models = RandomModels(m, data.num_features() + 1, 10, 5);
-  TestAccuracyUtility utility(data);
+  WeightSpaceAccuracy utility(data);
 
   CoalitionEngine table_engine(&utility);
   auto dp = table_engine.EvaluateMeanCoalitions(models);
@@ -181,6 +266,50 @@ TEST(CoalitionEngineTest, GrayCodeFallbackMatchesSubsetSum) {
       2.0 / static_cast<double>(data.num_examples());
   for (size_t i = 0; i < dp->size(); ++i) {
     EXPECT_NEAR((*gray)[i], (*dp)[i], tie_tolerance) << "mask " << i;
+  }
+}
+
+TEST(CoalitionEngineTest, LinearUtilityAboveTableBoundTakesGrayCode) {
+  // The streamed row table (2^m x classes doubles) obeys max_table_bytes
+  // too: one byte under it, linear utilities walk the Gray code in
+  // weight space; exactly at it, they still stream.
+  const size_t m = 6, classes = 10;
+  ml::Dataset data = SmallTestSet();
+  auto models = RandomModels(m, data.num_features() + 1, classes, 6);
+  TestAccuracyUtility accuracy(data);
+  NegLogLossUtility log_loss(data);
+  const size_t row_table_bytes = (size_t{1} << m) * classes * sizeof(double);
+  for (LinearScoreUtility* utility :
+       {static_cast<LinearScoreUtility*>(&accuracy),
+        static_cast<LinearScoreUtility*>(&log_loss)}) {
+    CoalitionEngineConfig at_bound;
+    at_bound.max_table_bytes = row_table_bytes;
+    CoalitionEngine streamed_engine(utility, at_bound);
+    auto streamed = streamed_engine.EvaluateMeanCoalitions(models);
+    ASSERT_TRUE(streamed.ok());
+    EXPECT_TRUE(streamed_engine.stats().used_linear_scores);
+    EXPECT_FALSE(streamed_engine.stats().used_gray_code);
+
+    CoalitionEngineConfig tight;
+    tight.max_table_bytes = row_table_bytes - 1;
+    CoalitionEngine gray_engine(utility, tight);
+    auto gray = gray_engine.EvaluateMeanCoalitions(models);
+    ASSERT_TRUE(gray.ok());
+    EXPECT_FALSE(gray_engine.stats().used_linear_scores);
+    EXPECT_TRUE(gray_engine.stats().used_gray_code);
+    EXPECT_EQ(gray_engine.stats().matrix_additions +
+                  gray_engine.stats().matrix_subtractions,
+              (1ULL << m) - 1);
+    // Weight-space running sums round differently from score sums: a
+    // near-tie may flip one prediction, a loss moves in the last bits.
+    const double tolerance =
+        utility == &accuracy
+            ? 2.0 / static_cast<double>(data.num_examples())
+            : 1e-9;
+    ASSERT_EQ(gray->size(), streamed->size());
+    for (size_t i = 0; i < gray->size(); ++i) {
+      EXPECT_NEAR((*gray)[i], (*streamed)[i], tolerance) << "mask " << i;
+    }
   }
 }
 

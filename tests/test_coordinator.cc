@@ -103,6 +103,32 @@ TEST(CoordinatorTest, EachLatencyHasOneHistogramName) {
   }
 }
 
+TEST(CoordinatorTest, EveryRoundEvaluationScoresItsOwnCoalitions) {
+  // The contract's utility is not memoized: each execution of a round's
+  // evaluation (proposer and validators alike) scores all 2^m
+  // coalitions itself, and no utility cache sees any traffic.
+  BcflConfig config = SmallConfig();
+  config.num_groups = 3;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  const bool metrics_were_on = obs::MetricsRegistry::enabled();
+  obs::MetricsRegistry::set_enabled(true);
+  auto coordinator = BcflCoordinator::Create(config);
+  const bool ran = coordinator.ok() && (*coordinator)->Run().ok();
+  obs::MetricsRegistry::set_enabled(metrics_were_on);
+  ASSERT_TRUE(ran);
+
+  const uint64_t evals = registry.GetCounter("contract.round_evals").Value();
+  EXPECT_GT(evals, config.rounds);  // Re-executed by more than one miner.
+  EXPECT_EQ(registry.GetCounter("shapley.coalitions_scored").Value(),
+            evals << config.num_groups);
+  for (const auto& [name, value] : registry.Snapshot().counters) {
+    if (name.rfind("shapley.cache.", 0) == 0) {
+      EXPECT_EQ(value, 0u) << name;
+    }
+  }
+}
+
 TEST(CoordinatorTest, OnChainGroupSvMatchesOffChainReference) {
   BcflConfig config = SmallConfig();
   config.keep_local_models = true;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -176,6 +178,131 @@ TEST(KernelPropertyTest, ParallelGemmBitIdenticalAcrossPoolSizes) {
     EXPECT_TRUE(BitEqual(serial, parallel)) << workers << " workers";
   }
   EXPECT_EQ(ParallelPool(), nullptr);
+}
+
+/// Per-row oracle for ScoreCoalitionRows: every coalition's score sum
+/// materialized as a matrix (highest member added last), then each row
+/// scored on its own by AccuracyFromScores or LogLossFromScores (of the
+/// 1/|S|-scaled mean), and the row terms summed in ascending row order.
+std::vector<double> ExplicitCoalitionTotals(const std::vector<Matrix>& basis,
+                                            const std::vector<int>& labels,
+                                            CoalitionTerm term) {
+  const size_t classes = basis[0].cols();
+  std::vector<Matrix> sums(size_t{1} << basis.size());
+  sums[0] = Matrix(basis[0].rows(), classes);
+  for (size_t mask = 1; mask < sums.size(); ++mask) {
+    const int high = std::bit_width(mask) - 1;
+    sums[mask] = sums[mask ^ (size_t{1} << high)];
+    EXPECT_TRUE(sums[mask].AddInPlace(basis[high]).ok());
+  }
+  std::vector<double> totals(sums.size(), 0.0);
+  for (size_t mask = 0; mask < sums.size(); ++mask) {
+    const size_t members = static_cast<size_t>(std::popcount(mask));
+    const Matrix scored = term == CoalitionTerm::kNegLogProb && members > 1
+                              ? sums[mask].Scaled(1.0 / members)
+                              : sums[mask];
+    for (size_t r = 0; r < basis[0].rows(); ++r) {
+      Matrix row(1, classes);
+      std::memcpy(row.Row(0), scored.Row(r), classes * sizeof(double));
+      const std::vector<int> label = {labels[r]};
+      const double oracle = term == CoalitionTerm::kCorrect
+                                ? AccuracyFromScores(row, label).value()
+                                : LogLossFromScores(row, label).value();
+      if (term == CoalitionTerm::kCorrect) {
+        // std::max_element also picks the first of tied maxima.
+        const double* s = scored.Row(r);
+        EXPECT_EQ(oracle, std::max_element(s, s + classes) - s == labels[r]
+                              ? 1.0
+                              : 0.0)
+            << "mask " << mask << " row " << r;
+      }
+      totals[mask] += oracle;
+    }
+  }
+  return totals;
+}
+
+struct CoalitionCase {
+  size_t rows, classes;
+  bool ties;  ///< Scores drawn from {-1, 0, 1}: sums tie often.
+};
+
+/// Edge shapes: one row, two classes, and tie-heavy integer scores
+/// (the first maximum must win), next to the 10-class shape.
+const CoalitionCase kCoalitionCases[] = {
+    {1, 2, false}, {1, 10, true}, {7, 2, true}, {37, 10, false},
+    {37, 10, true}, {5, 3, false},
+};
+
+TEST(CoalitionKernelTest, StreamedTotalsMatchExplicitSubsetSums) {
+  Xoshiro256 rng(11);
+  for (const CoalitionCase& c : kCoalitionCases) {
+    for (size_t m = 1; m <= 10; ++m) {
+      std::vector<Matrix> basis;
+      std::vector<const double*> pointers;
+      for (size_t j = 0; j < m; ++j) {
+        Matrix b(c.rows, c.classes);
+        for (double& x : b.mutable_data()) {
+          x = c.ties ? static_cast<double>(rng.NextBounded(3)) - 1.0
+                     : rng.NextDouble() * 2.0 - 1.0;
+        }
+        basis.push_back(std::move(b));
+      }
+      for (const Matrix& b : basis) pointers.push_back(b.data().data());
+      // Labels cover both ends of the class range.
+      std::vector<int> labels(c.rows);
+      for (size_t r = 0; r < c.rows; ++r) {
+        labels[r] = r == 0 ? 0
+                    : r + 1 == c.rows
+                        ? static_cast<int>(c.classes) - 1
+                        : static_cast<int>(rng.NextBounded(c.classes));
+      }
+      const size_t full = size_t{1} << m;
+      for (CoalitionTerm term :
+           {CoalitionTerm::kCorrect, CoalitionTerm::kNegLogProb}) {
+        const std::vector<double> expected =
+            ExplicitCoalitionTotals(basis, labels, term);
+        for (Dispatch dispatch : {Dispatch::kScalar, Dispatch::kAuto}) {
+          CoalitionRows job;
+          job.term = term;
+          job.basis = pointers.data();
+          job.players = m;
+          job.rows = c.rows;
+          job.classes = c.classes;
+          job.labels = labels.data();
+          std::vector<double> out(full, 0.0);
+          ScoreCoalitionRows(job, out.data(), dispatch);
+          EXPECT_TRUE(BitEqual(out, expected))
+              << c.rows << "x" << c.classes << (c.ties ? " ties" : "")
+              << " m " << m << " term " << static_cast<int>(term)
+              << " dispatch " << static_cast<int>(dispatch);
+        }
+      }
+    }
+  }
+}
+
+TEST(CoalitionKernelTest, AllEqualScoresPickTheFirstClass) {
+  // Every coalition row is constant, so the first maximum is class 0:
+  // only rows labelled 0 count, on both dispatches.
+  const size_t m = 5, rows = 4, classes = 6;
+  std::vector<Matrix> basis(m, Matrix(rows, classes, 0.25));
+  std::vector<const double*> pointers;
+  for (const Matrix& b : basis) pointers.push_back(b.data().data());
+  const std::vector<int> labels = {0, 5, 0, 3};
+  for (Dispatch dispatch : {Dispatch::kScalar, Dispatch::kAuto}) {
+    CoalitionRows job;
+    job.basis = pointers.data();
+    job.players = m;
+    job.rows = rows;
+    job.classes = classes;
+    job.labels = labels.data();
+    std::vector<double> out(size_t{1} << m, 0.0);
+    ScoreCoalitionRows(job, out.data(), dispatch);
+    for (size_t mask = 0; mask < out.size(); ++mask) {
+      EXPECT_EQ(out[mask], 2.0) << "mask " << mask;
+    }
+  }
 }
 
 TEST(KernelPropertyTest, ActivePathIsKnown) {

@@ -299,5 +299,29 @@ TEST(SnapshotTest, StressSnapshotAndResetDuringConcurrentAdds) {
   EXPECT_EQ(c.Value(), before + 1);
 }
 
+// Regression for the stress test's rare failure: Observe bumps the
+// bucket before it raises the max, so a snapshot racing it (or a Reset
+// in between) can hold overflow counts with max = -inf, or with a max
+// still below the overflow bucket's lower edge. The estimate must stay
+// inside the bucket instead of interpolating down toward that max.
+TEST(SnapshotTest, OverflowBucketWithStaleMaxStaysInsideBucket) {
+  const std::vector<double> bounds = {1.0, 10.0, 100.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_GE(PercentileFromBuckets(bounds, {0, 0, 0, 5}, 5, -inf, 0.99),
+            100.0);
+  EXPECT_GE(PercentileFromBuckets(bounds, {0, 0, 0, 5}, 5, -inf, 0.50),
+            100.0);
+  // A racing read seen in the stress test: one count at [10, 100], one
+  // in overflow, max still 96 from an earlier observation.
+  const double p50 = PercentileFromBuckets(bounds, {0, 0, 1, 1}, 2, 96.0, 0.5);
+  const double p99 =
+      PercentileFromBuckets(bounds, {0, 0, 1, 1}, 2, 96.0, 0.99);
+  EXPECT_GE(p99, p50);
+  EXPECT_GE(p99, 100.0);
+  // A settled max above the edge still interpolates toward it.
+  EXPECT_DOUBLE_EQ(
+      PercentileFromBuckets(bounds, {0, 0, 0, 2}, 2, 200.0, 0.5), 150.0);
+}
+
 }  // namespace
 }  // namespace bcfl::obs
