@@ -30,6 +30,11 @@
 # (test_resume, reduced to the multi-worker cases): the block-log commit
 # sink and checkpoint writes interleave with the hot owner fan-out, and
 # the resumed session must still be bit-identical.
+# Since replica-parallel block execution it also covers the consensus
+# engine on a pool (test_consensus: followers validating, replicas
+# committing and laggards catching up side by side, each on its own
+# replica while sharing the contract host and its caches) and the
+# coordinator suites, whose sessions run every block that way.
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -50,6 +55,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   test_fault test_chaos \
   test_round_engine test_shamir test_vss test_dropout_recovery \
   test_byzantine test_sig_cache test_merkle test_resume \
+  test_consensus test_coordinator \
   test_golden_sessions bench_kernels bench_chain_throughput bench_e2e_rounds
 
 # halt_on_error: fail the script on the first race instead of limping on.
@@ -76,6 +82,8 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
   --gtest_filter='Engines/SlashEqualsCrashTest.BadShareForgerDuringRecovery/Parallel:ByzantineTest.MixedByzantinePlanIsPoolSizeInvariant'
 "$BUILD_DIR/tests/test_sig_cache"
 "$BUILD_DIR/tests/test_merkle"
+"$BUILD_DIR/tests/test_consensus"
+"$BUILD_DIR/tests/test_coordinator"
 # Kill/restart under TSan, reduced to the three-worker cases where
 # checkpoint/block-log writes race the owner fan-out.
 "$BUILD_DIR/tests/test_resume" \

@@ -1,5 +1,7 @@
 #include "chain/consensus.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,15 +55,22 @@ ConsensusEngine::ConsensusEngine(size_t num_miners,
         if (!block_bytes.ok()) return;
         auto block = Block::Deserialize(*block_bytes);
         if (!block.ok()) return;
-        // Warm the shared verification cache before re-execution —
-        // chunked across the chain pool when one is installed. The
-        // first validator pays each modexp once; every later replica
-        // (and the commit path) hits the cache.
-        host_->PreVerifySignatures(block->txs);
-        auto verdict = miners_[id]->ValidateProposal(*block);
-        bool accept = verdict.ok() && *verdict;
-        Bytes vote = EncodeVote(block->header.height, block->header.Hash(),
-                                accept, id);
+        static auto& accepted = obs::MetricsRegistry::Global().GetCounter(
+            "chain.proposal.accepted");
+        static auto& rejected = obs::MetricsRegistry::Global().GetCounter(
+            "chain.proposal.rejected");
+        const crypto::Digest hash = block->header.Hash();
+        std::optional<StoredVerdict>& stored = verdicts_[id];
+        bool accept = false;
+        if (stored && stored->block_hash == hash) {
+          accept = stored->accept;
+          stored.reset();
+        } else {
+          auto verdict = miners_[id]->ValidateProposal(*block);
+          accept = verdict.ok() && *verdict;
+        }
+        (accept ? accepted : rejected).Add();
+        Bytes vote = EncodeVote(block->header.height, hash, accept, id);
         (void)network_.Send(id, msg.from, std::move(vote));
       } else if (*type == kMsgVote) {
         auto height = reader.ReadU64();
@@ -92,6 +101,7 @@ ConsensusEngine::ConsensusEngine(size_t num_miners,
     });
     (void)st;
   }
+  verdicts_.resize(num_miners);
   schedule_ = std::make_unique<LeaderSchedule>(ids, config_.leader_seed);
 }
 
@@ -156,31 +166,62 @@ size_t ConsensusEngine::CatchUpLaggards() {
   static auto& catchups =
       obs::MetricsRegistry::Global().GetCounter("chain.consensus.catchups");
   const Miner& canonical = *miners_[CanonicalMinerIndex()];
-  uint64_t tip = canonical.chain().Height();
-  size_t replayed = 0;
+  const uint64_t tip = canonical.chain().Height();
+  struct Laggard {
+    Miner* miner;
+    uint64_t behind;
+    size_t replayed = 0;
+    uint64_t failed_height = 0;
+    Status status = Status::OK();
+  };
+  std::vector<Laggard> laggards;
   for (auto& miner : miners_) {
     if (miner.get() == &canonical) continue;
     if (!MinerParticipating(miner->id())) continue;
-    uint64_t behind = miner->chain().Height();
-    if (behind >= tip) continue;
-    for (uint64_t h = behind + 1; h <= tip; ++h) {
+    if (miner->chain().Height() >= tip) continue;
+    laggards.push_back({miner.get(), miner->chain().Height()});
+  }
+  // Each laggard replays into its own replica; the canonical chain is
+  // only read.
+  ForEachReplica(laggards.size(), [&](size_t i) {
+    Laggard& lag = laggards[i];
+    for (uint64_t h = lag.behind + 1; h <= tip; ++h) {
       auto block = canonical.chain().GetBlock(h);
       if (!block.ok()) break;
-      Status st = miner->CommitBlock(*block);
+      Status st = lag.miner->CommitBlock(*block);
       if (!st.ok()) {
-        BCFL_LOG_WARN() << "catch-up of miner " << miner->id() << " at height "
-                        << h << " failed: " << st.ToString();
+        lag.status = std::move(st);
+        lag.failed_height = h;
         break;
       }
-      ++replayed;
+      ++lag.replayed;
     }
+  });
+  size_t replayed = 0;
+  for (const Laggard& lag : laggards) {
+    const std::string id = std::to_string(lag.miner->id());
+    if (!lag.status.ok()) {
+      BCFL_LOG_WARN() << "catch-up of miner " << id << " at height "
+                      << lag.failed_height
+                      << " failed: " << lag.status.ToString();
+    }
+    replayed += lag.replayed;
     catchups.Add();
     injector_->RecordExecuted(
         injector_->current_round(),
-        "miner " + std::to_string(miner->id()) + " caught up from height " +
-            std::to_string(behind) + " to " + std::to_string(tip));
+        "miner " + id + " caught up from height " +
+            std::to_string(lag.behind) + " to " + std::to_string(tip));
   }
   return replayed;
+}
+
+void ConsensusEngine::ForEachReplica(size_t count,
+                                     const std::function<void(size_t)>& fn) {
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(count, fn, /*grain=*/1);
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) fn(i);
 }
 
 Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
@@ -215,14 +256,36 @@ Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
       leader.ProposeBlock(network_.clock().NowMicros() + 1,
                           config_.max_txs_per_block));
 
+  // With a pool, the followers the proposal can reach re-execute it
+  // now, side by side; the handler casts each verdict on delivery.
+  if (pool_ != nullptr) {
+    std::vector<uint32_t> followers;
+    for (const auto& miner : miners_) {
+      const uint32_t id = miner->id();
+      if (id == leader_id) continue;
+      if (injector_ != nullptr && injector_->MinerUnavailable(leader_id, id)) {
+        continue;
+      }
+      followers.push_back(id);
+    }
+    const crypto::Digest hash = proposal.header.Hash();
+    ForEachReplica(followers.size(), [&](size_t i) {
+      const uint32_t id = followers[i];
+      auto verdict = miners_[id]->ValidateProposal(proposal);
+      verdicts_[id] = StoredVerdict{hash, verdict.ok() && *verdict};
+    });
+  }
+
   // Arm the vote box, broadcast, and drain the network: validators
-  // validate and vote inside the drain.
+  // vote inside the drain.
   votes_ = VoteBox{};
   pending_proposal_ = proposal;
   proposal_valid_ = true;
-  BCFL_RETURN_IF_ERROR(network_.Broadcast(leader_id, EncodeProposal(proposal)));
-  network_.DeliverAll();
+  Status sent = network_.Broadcast(leader_id, EncodeProposal(proposal));
+  if (sent.ok()) network_.DeliverAll();
   proposal_valid_ = false;
+  std::fill(verdicts_.begin(), verdicts_.end(), std::nullopt);
+  BCFL_RETURN_IF_ERROR(sent);
 
   CommitResult result;
   result.leader = leader_id;
@@ -243,6 +306,7 @@ Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
         obs::MetricsRegistry::Global().GetCounter("chain.tx.committed");
     committed_blocks.Add();
     committed_txs.Add(result.num_txs);
+    std::vector<Miner*> replicas;
     for (auto& miner : miners_) {
       // Offline or partitioned-away replicas missed the proposal; they
       // re-join through catch-up once reachable again.
@@ -250,12 +314,19 @@ Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
           injector_->MinerUnavailable(leader_id, miner->id())) {
         continue;
       }
-      Status st = miner->CommitBlock(proposal);
-      if (!st.ok()) {
+      replicas.push_back(miner.get());
+    }
+    std::vector<Status> statuses(replicas.size(), Status::OK());
+    ForEachReplica(replicas.size(), [&](size_t i) {
+      statuses[i] = replicas[i]->CommitBlock(proposal);
+    });
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      if (!statuses[i].ok()) {
         // A replica refusing a majority-accepted block means the leader
         // published an unexecutable proposal — surface loudly.
-        return st.WithContext("replica " + std::to_string(miner->id()) +
-                              " failed to commit");
+        return statuses[i].WithContext(
+            "replica " + std::to_string(replicas[i]->id()) +
+            " failed to commit");
       }
     }
     if (commit_sink_) {
@@ -272,18 +343,29 @@ Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
 
 Status ConsensusEngine::ReplayCommittedBlock(
     const Block& block, const std::map<uint32_t, uint64_t>& miner_heights) {
+  std::vector<Miner*> replicas;
   for (auto& miner : miners_) {
     auto it = miner_heights.find(miner->id());
     const uint64_t target =
         it == miner_heights.end() ? UINT64_MAX : it->second;
     if (block.header.height > target) continue;  // Was lagging at checkpoint.
     if (miner->chain().Height() >= block.header.height) continue;
-    BCFL_RETURN_IF_ERROR(
-        miner->CommitBlock(block).WithContext(
-            "replaying height " + std::to_string(block.header.height) +
-            " into miner " + std::to_string(miner->id())));
+    replicas.push_back(miner.get());
+  }
+  std::vector<Status> statuses(replicas.size(), Status::OK());
+  ForEachReplica(replicas.size(), [&](size_t i) {
+    Miner& miner = *replicas[i];
+    statuses[i] = miner.CommitBlock(block);
+    if (!statuses[i].ok()) return;
     for (const Transaction& tx : block.txs) {
-      miner->mempool().NoteCommitted(tx);
+      miner.mempool().NoteCommitted(tx);
+    }
+  });
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    if (!statuses[i].ok()) {
+      return statuses[i].WithContext(
+          "replaying height " + std::to_string(block.header.height) +
+          " into miner " + std::to_string(replicas[i]->id()));
     }
   }
   return Status::OK();

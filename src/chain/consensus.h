@@ -3,12 +3,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "chain/leader.h"
 #include "chain/miner.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "fault/injector.h"
 #include "net/network.h"
 
@@ -44,11 +46,16 @@ struct CommitResult {
 ///  1. The schedule picks a leader for the next height; the leader
 ///     executes its mempool on a scratch state and broadcasts the block.
 ///  2. Every other miner re-executes the proposal against its own state
-///     replica and unicasts an accept/reject vote back.
+///     replica and unicasts an accept/reject vote back. With a pool
+///     attached (`set_pool`) the reachable followers re-execute
+///     concurrently, one replica per task, before the broadcast; each
+///     stored verdict is cast when the proposal reaches its miner, so
+///     message order, drops and the tally are those of inline validation.
 ///  3. With strict-majority accepts (> n/2, the proposer counting as an
-///     implicit accept), every miner commits; otherwise the proposal is
-///     discarded and the next leader in the fallback rotation proposes
-///     ("they wait for another leader to propose").
+///     implicit accept), every reachable miner commits (concurrently,
+///     with a pool); otherwise the proposal is discarded and the next
+///     leader in the fallback rotation proposes ("they wait for another
+///     leader to propose").
 ///
 /// All proposal/vote traffic crosses `SimulatedNetwork`, so the same
 /// engine measures throughput and latency for the Ablation-B benchmark.
@@ -92,6 +99,17 @@ class ConsensusEngine {
   const Blockchain& CanonicalChain() const {
     return miners_[CanonicalMinerIndex()]->chain();
   }
+
+  /// Pool the per-replica steps of a block run on (not owned; nullptr,
+  /// the default, runs every replica in turn on the calling thread):
+  /// follower validation, commits, laggard catch-up and resume replay.
+  /// Each task touches only its own miner's replica and errors surface
+  /// in miner order, so outcomes do not depend on the pool or its size.
+  /// Counters: `chain.proposal.{accepted,rejected}` count votes cast, so
+  /// a follower whose proposal message was dropped counts none, but it
+  /// did validate and so adopts its post-state at commit
+  /// (`chain.commit.adopted`) where inline validation would re-execute.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Attaches the chaos injector (not owned; may be nullptr to detach)
   /// and installs its message filter on the miners' network.
@@ -137,6 +155,10 @@ class ConsensusEngine {
   /// it to consensus. Returns the number of blocks replayed.
   size_t CatchUpLaggards();
 
+  /// Runs fn(i) for i in [0, count), one replica per pool task when a
+  /// pool is attached, in order on the calling thread otherwise.
+  void ForEachReplica(size_t count, const std::function<void(size_t)>& fn);
+
   std::shared_ptr<const ContractHost> host_;
   ConsensusConfig config_;
   net::SimulatedNetwork network_;
@@ -144,6 +166,7 @@ class ConsensusEngine {
   std::unique_ptr<LeaderSchedule> schedule_;
   fault::FaultInjector* injector_ = nullptr;
   CommitSink commit_sink_;
+  ThreadPool* pool_ = nullptr;
 
   // Per-attempt vote collection (filled by network handlers). Votes are
   // keyed by the voter id carried in the payload so each roster member
@@ -156,6 +179,16 @@ class ConsensusEngine {
   VoteBox votes_;
   Block pending_proposal_;
   bool proposal_valid_ = false;
+
+  // Verdicts of the followers that validated the in-flight proposal on
+  // the pool, by miner id. The proposal handler casts one when a message
+  // carrying that block reaches the miner, then drops it; whatever the
+  // network dropped is discarded with the attempt.
+  struct StoredVerdict {
+    crypto::Digest block_hash{};
+    bool accept = false;
+  };
+  std::vector<std::optional<StoredVerdict>> verdicts_;
 };
 
 }  // namespace bcfl::chain

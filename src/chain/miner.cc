@@ -44,31 +44,17 @@ Result<Block> Miner::ProposeBlock(uint64_t timestamp_us, size_t max_txs) {
 }
 
 Result<bool> Miner::ValidateProposal(const Block& block) {
-  static auto& accepted =
-      obs::MetricsRegistry::Global().GetCounter("chain.proposal.accepted");
-  static auto& rejected =
-      obs::MetricsRegistry::Global().GetCounter("chain.proposal.rejected");
   obs::ScopedSpan span(obs::Tracer::Global(), "validate", "chain");
-  if (behavior_.always_reject) {
-    rejected.Add();
-    return false;
-  }
+  if (behavior_.always_reject) return false;
   Status structural = Blockchain::Validate(block, chain_.Tip());
-  if (!structural.ok()) {
-    rejected.Add();
-    return false;
-  }
+  if (!structural.ok()) return false;
 
   // Re-execute the body on a snapshot of this miner's own state — the
   // "verification protocol" of Sect. III.
   ContractState scratch = state_.Snapshot();
   auto receipts = host_->ExecuteBlock(block.txs, &scratch);
-  if (!receipts.ok()) {
-    rejected.Add();
-    return false;
-  }
+  if (!receipts.ok()) return false;
   const bool match = scratch.StateRoot() == block.header.state_root;
-  (match ? accepted : rejected).Add();
   if (match) {
     executed_ = Executed{block.header.Hash(), block.header.prev_hash,
                          std::move(scratch)};

@@ -47,7 +47,10 @@ class Miner {
   /// Validator role: structural checks plus full re-execution; true iff
   /// the proposer's state root matches this miner's own re-execution
   /// (the verification protocol of Sect. III). A matching post-state is
-  /// kept for CommitBlock to adopt.
+  /// kept for CommitBlock to adopt. Counts no vote: the consensus engine
+  /// counts `chain.proposal.{accepted,rejected}` when it sends one.
+  /// Miners share only the host (whose caches are internally locked), so
+  /// distinct miners may validate and commit concurrently.
   Result<bool> ValidateProposal(const Block& block);
 
   /// Applies a block agreed by consensus: adopts the kept post-state when

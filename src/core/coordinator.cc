@@ -212,6 +212,9 @@ Result<std::unique_ptr<BcflCoordinator>> BcflCoordinator::Create(
                              ? config.pool_threads
                              : ThreadPool::DefaultThreads();
   coord->pool_ = std::make_unique<ThreadPool>(threads);
+  // Replicas validate, commit and replay side by side on the same pool;
+  // the setup block above committed before it was attached.
+  coord->engine_->set_pool(coord->pool_.get());
   RoundEngine::Deps deps;
   deps.clients = &coord->clients_;
   deps.participants = &coord->participants_;

@@ -1,5 +1,6 @@
 #include "shapley/coalition_engine.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "obs/metrics.h"
@@ -89,40 +90,42 @@ Result<std::vector<double>> CoalitionEngine::MeanCoalitionsStreamed(
   const size_t m = player_models.size();
   const size_t full = static_cast<size_t>(1ULL << m);
   stats_.used_linear_scores = true;
-
-  // One X * W product per *player*, not per coalition.
-  std::vector<ml::Matrix> scores(m);
-  std::vector<Status> statuses(m, Status::OK());
-  auto project = [&](size_t j) {
-    auto s = utility->PlayerScores(player_models[j]);
-    if (s.ok()) {
-      scores[j] = std::move(s).value();
-    } else {
-      statuses[j] = s.status();
-    }
-  };
-  if (config_.pool != nullptr) {
-    config_.pool->ParallelFor(m, project, /*grain=*/1);
-  } else {
-    for (size_t j = 0; j < m; ++j) project(j);
+  for (const ml::Matrix& model : player_models) {
+    BCFL_RETURN_IF_ERROR(utility->CheckWeights(model));
   }
-  for (const Status& s : statuses) {
-    BCFL_RETURN_IF_ERROR(s);
-  }
-  const size_t rows = scores[0].rows();
+  const size_t rows = utility->test_set().num_examples();
   if (rows == 0) return Status::InvalidArgument("empty test set");
-  std::vector<const double*> basis(m);
-  for (size_t j = 0; j < m; ++j) basis[j] = scores[j].data().data();
+  const size_t classes = player_models[0].cols();
 
+  // One X * W product per *player*, projected a block of test rows at a
+  // time, so the per-player scores held at once are m x kProjectionRows
+  // x classes, not m full rows x classes matrices.
+  std::vector<double> block_scores(m * kProjectionRows * classes);
+  std::vector<const double*> basis(m);
+  for (size_t j = 0; j < m; ++j) {
+    basis[j] = block_scores.data() + j * kProjectionRows * classes;
+  }
   ml::kernels::CoalitionRows job;
   job.term = utility->row_term();
   job.basis = basis.data();
   job.players = m;
-  job.rows = rows;
-  job.classes = scores[0].cols();
-  job.labels = utility->test_set().labels().data();
+  job.classes = classes;
+  const int* labels = utility->test_set().labels().data();
   std::vector<double> totals(full, 0.0);
-  ml::kernels::ScoreCoalitionRows(job, totals.data());
+  // Each block's rows fold into `totals` after the previous block's, so
+  // every total is summed in ascending row order, as in one call over
+  // all rows.
+  for (size_t row = 0; row < rows; row += kProjectionRows) {
+    const size_t count = std::min(kProjectionRows, rows - row);
+    for (size_t j = 0; j < m; ++j) {
+      utility->PlayerScoreRows(player_models[j], row, count,
+                               block_scores.data() +
+                                   j * kProjectionRows * classes);
+    }
+    job.rows = count;
+    job.labels = labels + row;
+    ml::kernels::ScoreCoalitionRows(job, totals.data());
+  }
   for (double& t : totals) t = utility->UtilityFromRowTotal(t);
   // The same 2^m - 1 subset-sum adds per score element as a materialized
   // table, one row at a time.

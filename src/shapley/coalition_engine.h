@@ -53,17 +53,20 @@ struct CoalitionEngineStats {
 ///     accumulation order of the naive loop, so results match it bit
 ///     for bit.
 ///  2. Row-streamed linear scores — when the utility implements
-///     LinearScoreUtility, the DP runs over per-player score matrices
-///     (X_aug * W_j, computed once per player) one test row at a time:
-///     kernels::ScoreCoalitionRows builds the row's 2^m x classes score
+///     LinearScoreUtility, the DP runs over per-player scores (X_aug *
+///     W_j, one product per player) one test row at a time: the players'
+///     scores are projected kProjectionRows test rows at a time, and
+///     kernels::ScoreCoalitionRows builds each row's 2^m x classes score
 ///     table (cache-resident; 40 KB at m = 9) and folds each coalition's
-///     row term into its total, so no per-coalition X * W product and no
-///     2^m x rows x classes table is ever materialized.
+///     row term into its total. No per-coalition X * W product, no full
+///     per-player score matrix and no 2^m x rows x classes table is ever
+///     materialized; the working set is ~90 KB at m = 9, whatever the
+///     test-set size.
 ///  3. Parallel evaluation — weight-space coalition scores are
-///     independent, so they run on the pool into index-addressed slots;
-///     on the streamed path the pool computes the per-player score
-///     matrices, and the row stream itself is serial. Output is
-///     bit-identical regardless of thread count.
+///     independent, so they run on the pool into index-addressed slots.
+///     The streamed path is serial: on the chain, the miners' replicas
+///     already evaluate side by side. Output is bit-identical regardless
+///     of thread count.
 ///  4. Chunked dispatch — the 2^m-sized loop reaches the pool through
 ///     grain-size chunks (ThreadPool::ParallelFor), not one closure per
 ///     mask.
@@ -88,6 +91,9 @@ class CoalitionEngine {
 
   /// Counters from the most recent Evaluate* call.
   const CoalitionEngineStats& stats() const { return stats_; }
+
+  /// Test rows the streamed path projects per block (see point 2 above).
+  static constexpr size_t kProjectionRows = 64;
 
  private:
   Result<std::vector<double>> MeanCoalitionsStreamed(

@@ -37,6 +37,14 @@ Result<ml::Matrix> LinearScoreUtility::PlayerScores(
   return augmented_.MatMul(weights);
 }
 
+void LinearScoreUtility::PlayerScoreRows(const ml::Matrix& weights,
+                                         size_t row_begin, size_t count,
+                                         double* out) const {
+  const size_t cols = augmented_.cols();
+  ml::kernels::Gemm(augmented_.data().data() + row_begin * cols, count, cols,
+                    weights.data().data(), weights.cols(), out);
+}
+
 Result<double> LinearScoreUtility::EvaluateScoreSum(
     const ml::Matrix& score_sum, size_t coalition_size) const {
   const std::vector<int>& labels = test_set_.labels();

@@ -53,6 +53,13 @@ class LinearScoreUtility : public UtilityFunction {
 
   /// The per-example score ("logit") matrix X_aug * W for one player.
   Result<ml::Matrix> PlayerScores(const ml::Matrix& weights) const;
+  /// Rows [row_begin, row_begin + count) of PlayerScores(weights), by the
+  /// same per-element kernel, into `out` (count x classes, row-major).
+  /// `weights` must have passed CheckWeights and the rows must exist.
+  void PlayerScoreRows(const ml::Matrix& weights, size_t row_begin,
+                       size_t count, double* out) const;
+  /// Fails unless `weights` is (features + 1) x classes, classes >= 2.
+  Status CheckWeights(const ml::Matrix& weights) const;
   /// Utility of the coalition whose member score matrices sum to
   /// `score_sum`. `coalition_size` = |S| (0 for the empty coalition, in
   /// which case `score_sum` is all zeros — the untrained model).
@@ -65,7 +72,6 @@ class LinearScoreUtility : public UtilityFunction {
 
  protected:
   explicit LinearScoreUtility(ml::Dataset test_set);
-  Status CheckWeights(const ml::Matrix& weights) const;
 
   ml::Dataset test_set_;
   ml::Matrix augmented_;  ///< Bias-augmented features, built once.

@@ -240,6 +240,74 @@ TEST(CoalitionEngineTest, StreamedTableMatchesMaterializedScoreTable) {
   }
 }
 
+TEST(CoalitionEngineTest, BlockedProjectionMatchesFullScoreMatrices) {
+  // The streamed path projects kProjectionRows test rows per player at a
+  // time. Its totals must equal one kernel call over every player's full
+  // X_aug * W matrix bit for bit: at block edges (63, 64, 65 rows), below
+  // one block, at the paper's 1124-row test set, and at m = 1, 3 and 9.
+  static_assert(CoalitionEngine::kProjectionRows == 64);
+  data::DigitsConfig config;
+  config.num_instances = 1124;
+  config.seed = 23;
+  const ml::Dataset all = data::DigitsGenerator(config).Generate();
+  for (size_t rows : {1, 63, 64, 65, 1124}) {
+    std::vector<size_t> first(rows);
+    for (size_t i = 0; i < rows; ++i) first[i] = i;
+    auto data = all.Subset(first);
+    ASSERT_TRUE(data.ok());
+    TestAccuracyUtility accuracy(*data);
+    NegLogLossUtility log_loss(*data);
+    for (size_t m : {1, 3, 9}) {
+      auto models = RandomModels(m, data->num_features() + 1, 10, 900 + m);
+      for (LinearScoreUtility* utility :
+           {static_cast<LinearScoreUtility*>(&accuracy),
+            static_cast<LinearScoreUtility*>(&log_loss)}) {
+        std::vector<ml::Matrix> scores;
+        std::vector<const double*> basis;
+        for (const ml::Matrix& model : models) {
+          auto s = utility->PlayerScores(model);
+          ASSERT_TRUE(s.ok());
+          scores.push_back(std::move(s).value());
+        }
+        for (const ml::Matrix& s : scores) basis.push_back(s.data().data());
+        ml::kernels::CoalitionRows job;
+        job.term = utility->row_term();
+        job.basis = basis.data();
+        job.players = m;
+        job.rows = rows;
+        job.classes = 10;
+        job.labels = data->labels().data();
+        std::vector<double> expected(size_t{1} << m, 0.0);
+        ml::kernels::ScoreCoalitionRows(job, expected.data());
+        for (double& t : expected) t = utility->UtilityFromRowTotal(t);
+
+        CoalitionEngine engine(utility);
+        auto table = engine.EvaluateMeanCoalitions(models);
+        ASSERT_TRUE(table.ok());
+        ASSERT_EQ(table->size(), expected.size());
+        for (size_t mask = 0; mask < expected.size(); ++mask) {
+          ASSERT_EQ(std::bit_cast<uint64_t>((*table)[mask]),
+                    std::bit_cast<uint64_t>(expected[mask]))
+              << "rows " << rows << " m " << m
+              << (utility == &log_loss ? " log-loss" : " accuracy")
+              << " mask " << mask;
+        }
+      }
+    }
+  }
+}
+
+TEST(CoalitionEngineTest, BlockedProjectionKeepsWeightShapeCheck) {
+  ml::Dataset data = SmallTestSet();
+  TestAccuracyUtility accuracy(data);
+  // Every model lacks the bias row: the projection would read past the
+  // weights, so the engine must refuse them before projecting.
+  auto models = RandomModels(3, data.num_features(), 10, 41);
+  CoalitionEngine engine(&accuracy);
+  auto table = engine.EvaluateMeanCoalitions(models);
+  EXPECT_FALSE(table.ok());
+}
+
 TEST(CoalitionEngineTest, GrayCodeFallbackMatchesSubsetSum) {
   // The weight-space paths only: linear-score utilities always stream.
   const size_t m = 6;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace bcfl::chain {
@@ -500,6 +501,127 @@ TEST_F(ConsensusFixture, MinorityPartitionCellFallsBehindThenCatchesUp) {
     EXPECT_EQ(engine->miner(m).chain().Height(), 2u) << "miner " << m;
   }
   engine->set_fault_injector(nullptr);
+}
+
+using ConsensusTest = ConsensusFixture;
+
+/// Everything a pool must leave unchanged: each round's commit result,
+/// every replica's tip and state root, and the votes cast.
+struct ReplicaRun {
+  std::vector<CommitResult> commits;
+  std::vector<crypto::Digest> tips;
+  std::vector<crypto::Digest> roots;
+  uint64_t accepted = 0;
+  uint64_t rejected = 0;
+  uint64_t dropped = 0;
+};
+
+bool SameCommit(const CommitResult& a, const CommitResult& b) {
+  return a.committed == b.committed && a.leader == b.leader &&
+         a.retries_used == b.retries_used &&
+         a.accept_votes == b.accept_votes &&
+         a.reject_votes == b.reject_votes && a.height == b.height &&
+         a.block_hash == b.block_hash && a.num_txs == b.num_txs;
+}
+
+TEST_F(ConsensusTest, PooledReplicaExecutionMatchesSerial) {
+  // One transaction stream through a lossy network with a tampering
+  // first leader, a griefer, a duplicating miner and two miners that
+  // crash and catch up together: no pool, one worker and four workers
+  // must agree on every vote, commit, tip and state root.
+  obs::MetricsRegistry::set_enabled(true);
+  obs::Counter& accepted =
+      obs::MetricsRegistry::Global().GetCounter("chain.proposal.accepted");
+  obs::Counter& rejected =
+      obs::MetricsRegistry::Global().GetCounter("chain.proposal.rejected");
+  std::vector<Transaction> txs;
+  for (uint64_t i = 1; i <= 12; ++i) txs.push_back(IncTx(i));
+  LeaderSchedule schedule({0, 1, 2, 3, 4}, 7);
+  const uint32_t tamperer = *schedule.LeaderFor(1, 0);
+  const uint32_t griefer = (tamperer + 1) % 5;
+  const uint32_t crashed_a = (tamperer + 2) % 5;
+  const uint32_t crashed_b = (tamperer + 3) % 5;
+  const uint32_t duplicator = (tamperer + 4) % 5;
+  auto plan = fault::FaultPlan::Parse(
+      "duplicate miner " + std::to_string(duplicator) + " @0..3; crash miner " +
+      std::to_string(crashed_a) + " @1; crash miner " +
+      std::to_string(crashed_b) + " @1; recover miner " +
+      std::to_string(crashed_a) + " @2; recover miner " +
+      std::to_string(crashed_b) + " @2");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  MinerBehavior tamper;
+  tamper.tamper_state = [](ContractState* state) {
+    state->Put("forged", {0xde, 0xad});
+  };
+  MinerBehavior grief;
+  grief.always_reject = true;
+
+  auto run = [&](ThreadPool* pool) {
+    ReplicaRun out;
+    ConsensusConfig config;
+    config.leader_seed = 7;
+    config.max_retries = 30;
+    config.network.drop_probability = 0.15;
+    config.network.seed = 99;
+    ConsensusEngine engine(5, host_, config);
+    engine.set_pool(pool);
+    fault::FaultInjector injector(*plan, 0, 5);
+    engine.set_fault_injector(&injector);
+    engine.miner(tamperer).set_behavior(tamper);
+    const uint64_t accepted0 = accepted.Value();
+    const uint64_t rejected0 = rejected.Value();
+    for (uint64_t round = 0; round < 4; ++round) {
+      injector.BeginRound(round);
+      // With two miners down the griefer would leave no majority.
+      engine.miner(griefer).set_behavior(round == 1 ? MinerBehavior{} : grief);
+      for (size_t i = 0; i < 3; ++i) {
+        EXPECT_TRUE(engine.SubmitTransaction(txs[round * 3 + i]).ok());
+      }
+      auto commits = engine.RunUntilDrained();
+      EXPECT_TRUE(commits.ok()) << commits.status().ToString();
+      if (!commits.ok()) return out;
+      out.commits.insert(out.commits.end(), commits->begin(), commits->end());
+    }
+    for (size_t m = 0; m < 5; ++m) {
+      out.tips.push_back(engine.miner(m).chain().Tip().header.Hash());
+      out.roots.push_back(engine.miner(m).state().StateRoot());
+    }
+    out.accepted = accepted.Value() - accepted0;
+    out.rejected = rejected.Value() - rejected0;
+    out.dropped = engine.network().stats().messages_dropped;
+    engine.set_fault_injector(nullptr);
+    return out;
+  };
+
+  const ReplicaRun serial = run(nullptr);
+  ASSERT_FALSE(serial.commits.empty());
+  EXPECT_TRUE(serial.commits.back().committed);
+  // The tampered first proposal is rejected; a later leader commits.
+  EXPECT_GT(serial.commits.front().retries_used, 0u);
+  EXPECT_NE(serial.commits.front().leader, tamperer);
+  EXPECT_GT(serial.dropped, 0u);
+  EXPECT_GT(serial.rejected, 0u);
+  // Every replica, the two that caught up included, ends on one chain.
+  for (size_t m = 1; m < 5; ++m) {
+    EXPECT_EQ(serial.tips[m], serial.tips[0]) << "miner " << m;
+    EXPECT_EQ(serial.roots[m], serial.roots[0]) << "miner " << m;
+  }
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (ThreadPool* pool : {&pool1, &pool4}) {
+    const ReplicaRun pooled = run(pool);
+    const size_t threads = pool->num_threads();
+    ASSERT_EQ(pooled.commits.size(), serial.commits.size()) << threads;
+    for (size_t i = 0; i < serial.commits.size(); ++i) {
+      EXPECT_TRUE(SameCommit(pooled.commits[i], serial.commits[i]))
+          << "pool " << threads << " commit " << i;
+    }
+    EXPECT_EQ(pooled.tips, serial.tips) << threads;
+    EXPECT_EQ(pooled.roots, serial.roots) << threads;
+    EXPECT_EQ(pooled.accepted, serial.accepted) << threads;
+    EXPECT_EQ(pooled.rejected, serial.rejected) << threads;
+    EXPECT_EQ(pooled.dropped, serial.dropped) << threads;
+  }
 }
 
 TEST(LeaderScheduleTest, DeterministicAndInRange) {

@@ -155,6 +155,22 @@ TEST_F(ResumeTest, ResumeSurvivesFaultsBesidesTheKill) {
   ExpectBitIdentical(baseline, resumed);
 }
 
+TEST_F(ResumeTest, PoolOfFourReplaysReplicasBitIdenticalToOneWorker) {
+  // Five miners on a four-worker pool: resume replays each logged block
+  // into the replicas side by side, skipping miner 4, which was down when
+  // the checkpoint was taken; after the restart it recovers and catches
+  // up. The result must match an uninterrupted one-worker session.
+  const std::string plan = "crash miner 4 @1; recover miner 4 @3; kill @3";
+  BcflConfig serial = SmallConfig(1, plan);
+  serial.num_miners = 5;
+  BcflConfig pooled = SmallConfig(4, plan);
+  pooled.num_miners = 5;
+  BcflRunResult baseline = Baseline(serial);
+  BcflRunResult resumed = KillAndResume(pooled, StateDir("pool4"), 3,
+                                        /*checkpoint_every=*/2);
+  ExpectBitIdentical(baseline, resumed);
+}
+
 TEST_F(ResumeTest, FreshAttachRefusesUsedStateDir) {
   BcflConfig config = SmallConfig(1, "kill @2");
   PersistenceOptions persist;
