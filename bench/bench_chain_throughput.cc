@@ -5,16 +5,21 @@
 // message complexity (leader broadcast + validator votes), while the
 // wall-clock column reflects re-execution cost.
 //
-// Since the chain-throughput-engine PR this binary is also the
-// equivalence gate for the optimized chain/crypto paths, in the same
-// mold as bench_kernels: Montgomery Schnorr verification must agree
-// with the seed's reference::SchnorrVerify, incremental / pooled Merkle
-// builds must be bit-identical to the batch build, the mempool's
-// promoted root must match a from-scratch block root, and a consensus
-// run must commit identical block hashes with and without a chain pool.
-// Any mismatch makes the process exit non-zero. It drops
+// This binary is also the equivalence gate for the optimized
+// chain/crypto paths, in the same mold as bench_kernels: Montgomery
+// Schnorr verification must agree with the seed's
+// reference::SchnorrVerify, incremental Merkle builds must be
+// bit-identical to the batch build, the mempool's promoted root must
+// match a from-scratch block root, and a consensus run must commit
+// identical blocks whether its replicas execute in turn or side by side
+// on a pool. Any mismatch makes the process exit non-zero. It drops
 // BENCH_chain.json in the working directory, including a Schnorr-verify
 // microbench (optimized vs reference) that CI asserts on.
+//
+// The sweeps attach a pool of hardware_concurrency() threads to the
+// consensus engine (ConsensusEngine::set_pool), as bcfl_sim attaches
+// its round-engine pool: follower validation and commits run one
+// replica per pool task.
 //
 // Flags: --quick  lower repetition counts and a reduced sweep (CI smoke
 // mode).
@@ -29,7 +34,6 @@
 #include "chain/consensus.h"
 #include "chain/mempool.h"
 #include "chain/merkle.h"
-#include "chain/sig_cache.h"
 #include "common/sim_clock.h"
 #include "common/thread_pool.h"
 #include "crypto/schnorr.h"
@@ -63,7 +67,7 @@ struct RunStats {
 };
 
 RunStats RunWorkload(size_t miners, size_t num_txs, size_t payload_bytes,
-                     size_t max_txs_per_block) {
+                     size_t max_txs_per_block, ThreadPool* pool) {
   crypto::Schnorr scheme;
   Xoshiro256 rng(7);
   auto key = scheme.GenerateKeyPair(&rng);
@@ -77,6 +81,7 @@ RunStats RunWorkload(size_t miners, size_t num_txs, size_t payload_bytes,
   config.network.min_latency_us = 500;
   config.network.max_latency_us = 5000;
   ConsensusEngine engine(miners, host, config);
+  engine.set_pool(pool);
 
   for (size_t i = 0; i < num_txs; ++i) {
     Transaction tx;
@@ -142,9 +147,8 @@ bool CheckSchnorrReferenceEquivalence(Xoshiro256* rng) {
   return true;
 }
 
-/// Batch, incremental (Append) and pooled Merkle builds must produce the
-/// same root for every pool size, including odd leaf counts and counts
-/// crossing the parallel-chunking threshold.
+/// Batch and incremental (Append) Merkle builds must produce the same
+/// root, including for odd leaf counts and counts past 256.
 bool CheckMerkleEquivalence(Xoshiro256* rng) {
   for (size_t n : {0u, 1u, 2u, 3u, 7u, 255u, 256u, 257u, 1000u}) {
     std::vector<crypto::Digest> leaves(n);
@@ -157,17 +161,6 @@ bool CheckMerkleEquivalence(Xoshiro256* rng) {
     if (incremental.root() != batch.root()) {
       std::printf("  !! incremental root diverged at n=%zu\n", n);
       return false;
-    }
-    for (size_t threads : {1u, 2u}) {
-      ThreadPool pool(threads);
-      SetChainPool(&pool);
-      MerkleTree pooled(leaves);
-      SetChainPool(nullptr);
-      if (pooled.root() != batch.root()) {
-        std::printf("  !! pooled root diverged at n=%zu threads=%zu\n", n,
-                    threads);
-        return false;
-      }
     }
   }
   return true;
@@ -199,18 +192,15 @@ bool CheckMempoolPromotion(Xoshiro256* rng) {
   return true;
 }
 
-/// A consensus run must commit identical blocks with and without a
-/// chain pool installed: the chunk partition may never leak into a
-/// digest.
-bool CheckChainPoolDeterminism() {
-  RunStats serial = RunWorkload(3, 12, 2048, 5);
+/// A consensus run must commit identical blocks whether its replicas
+/// execute in turn or side by side on a 2-thread pool.
+bool CheckReplicaPoolDeterminism() {
+  RunStats serial = RunWorkload(3, 12, 2048, 5, nullptr);
   ThreadPool pool(2);
-  SetChainPool(&pool);
-  RunStats pooled = RunWorkload(3, 12, 2048, 5);
-  SetChainPool(nullptr);
+  RunStats pooled = RunWorkload(3, 12, 2048, 5, &pool);
   if (serial.tip_hash != pooled.tip_hash || serial.blocks != pooled.blocks ||
       serial.txs != pooled.txs) {
-    std::printf("  !! chain run diverged with a pool installed\n");
+    std::printf("  !! chain run diverged with a pool attached\n");
     return false;
   }
   return true;
@@ -269,7 +259,7 @@ int main(int argc, char** argv) {
       {"schnorr_reference", CheckSchnorrReferenceEquivalence(&rng)},
       {"merkle_incremental_batch_parallel", CheckMerkleEquivalence(&rng)},
       {"mempool_promotion", CheckMempoolPromotion(&rng)},
-      {"chain_pool_determinism", CheckChainPoolDeterminism()},
+      {"chain_pool_determinism", CheckReplicaPoolDeterminism()},
   };
   bool all_ok = true;
   std::printf("equivalence vs reference:");
@@ -337,9 +327,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Throughput sweeps ------------------------------------------------
-  // All sweeps run with the chain pool installed, as bcfl_sim would.
-  ThreadPool chain_pool(hw_threads);
-  SetChainPool(&chain_pool);
+  ThreadPool replica_pool(hw_threads);
 
   std::printf("\n(50 transactions, 10 txs/block, 5.2KB payload = one masked "
               "65x10 update)\n");
@@ -350,7 +338,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<size_t>{3, 5} : std::vector<size_t>{3, 5, 7, 9, 13};
   const size_t sweep_txs = quick ? 20 : 50;
   for (size_t miners : sweep_miners) {
-    RunStats s = RunWorkload(miners, sweep_txs, 5200, 10);
+    RunStats s = RunWorkload(miners, sweep_txs, 5200, 10, &replica_pool);
     PrintRow(miners, s);
     SweepRow(&json, miners, 5200, s);
   }
@@ -365,7 +353,7 @@ int main(int argc, char** argv) {
   const std::vector<size_t> sweep_miners_64k =
       quick ? std::vector<size_t>{5} : std::vector<size_t>{3, 5, 7, 9, 13};
   for (size_t miners : sweep_miners_64k) {
-    RunStats s = RunWorkload(miners, sweep_txs, 65536, 10);
+    RunStats s = RunWorkload(miners, sweep_txs, 65536, 10, &replica_pool);
     PrintRow(miners, s);
     SweepRow(&json, miners, 65536, s);
   }
@@ -376,7 +364,7 @@ int main(int argc, char** argv) {
     std::printf("%-14s %-10s %-14s\n", "payload B", "tx/s", "wall ms/blk");
     json.BeginArray("payload_sweep");
     for (size_t payload : {520, 5200, 52000, 520000}) {
-      RunStats s = RunWorkload(5, 30, payload, 10);
+      RunStats s = RunWorkload(5, 30, payload, 10, &replica_pool);
       std::printf("%-14zu %-10.0f %-14.3f\n", payload,
                   static_cast<double>(s.txs) / s.wall_seconds,
                   s.wall_seconds * 1000.0 / static_cast<double>(s.blocks));
@@ -388,7 +376,7 @@ int main(int argc, char** argv) {
     std::printf("%-14s %-8s %-10s\n", "txs/block", "blocks", "tx/s");
     json.BeginArray("block_size_sweep");
     for (size_t batch : {1, 5, 15, 60}) {
-      RunStats s = RunWorkload(5, 60, 5200, batch);
+      RunStats s = RunWorkload(5, 60, 5200, batch, &replica_pool);
       std::printf("%-14zu %-8zu %-10.0f\n", batch, s.blocks,
                   static_cast<double>(s.txs) / s.wall_seconds);
       json.BeginObject();
@@ -399,7 +387,6 @@ int main(int argc, char** argv) {
     }
     json.EndArray();
   }
-  SetChainPool(nullptr);
   json.EndObject();
 
   std::printf("\nShape: message count grows linearly with miner count (one\n"

@@ -7,7 +7,8 @@
 // subset-sum score table it replaced) on the training-workload shapes,
 // and — more importantly — *verifies* the
 // determinism contract: every optimized kernel must be bit-identical to
-// its reference, including under the row-parallel pool path. A mismatch
+// its reference, and row-blocked GEMM calls run concurrently on pool
+// workers must match one call over all rows. A mismatch
 // makes the process exit non-zero, so CI can use this binary as the
 // kernel-vs-reference smoke test.
 //
@@ -40,8 +41,8 @@ namespace kernels = bcfl::ml::kernels;
 
 namespace {
 
-/// Pool width used by the parallel-determinism checks (and reported in
-/// the JSON so cross-PR diffs know what ran).
+/// Pool width used by the parallel-GEMM check (and reported in the JSON
+/// so cross-PR diffs know what ran).
 constexpr size_t kDeterminismPoolThreads = 4;
 
 void FillRandom(std::vector<double>* v, Xoshiro256* rng) {
@@ -194,9 +195,11 @@ bool CheckFusedStepEquivalence(Xoshiro256* rng) {
 }
 
 bool CheckParallelGemmDeterminism(Xoshiro256* rng) {
-  // 1024 rows crosses the parallel threshold; chunking is fixed-size, so
-  // any pool size must reproduce the serial result bit for bit.
-  const size_t m = 1024, k = 65, n = 10;
+  // 64-row blocks multiplied concurrently on pool workers (the chain
+  // path's PlayerScoreRows pattern) must reproduce one serial call bit
+  // for bit: output rows are independent.
+  const size_t m = 1124, k = 65, n = 10;  // The digits test-set shape.
+  constexpr size_t kBlock = 64;
   std::vector<double> a(m * k), b(k * n);
   FillRandom(&a, rng);
   FillRandom(&b, rng);
@@ -204,12 +207,17 @@ bool CheckParallelGemmDeterminism(Xoshiro256* rng) {
   kernels::Gemm(a.data(), m, k, b.data(), n, serial.data());
   {
     ThreadPool pool(kDeterminismPoolThreads);
-    kernels::SetParallelPool(&pool);
-    kernels::Gemm(a.data(), m, k, b.data(), n, parallel.data());
-    kernels::SetParallelPool(nullptr);
+    pool.ParallelFor(
+        (m + kBlock - 1) / kBlock,
+        [&](size_t blk) {
+          const size_t r0 = blk * kBlock;
+          kernels::Gemm(a.data() + r0 * k, std::min(kBlock, m - r0), k,
+                        b.data(), n, parallel.data() + r0 * n);
+        },
+        /*grain=*/1);
   }
   if (!BitEqual(serial, parallel)) {
-    std::printf("  !! parallel Gemm diverged from serial\n");
+    std::printf("  !! row-blocked pooled Gemm diverged from one call\n");
     return false;
   }
   return true;

@@ -136,7 +136,6 @@ int main() {
     shapley::GroupShapleyConfig config;
     config.num_groups = m;
     config.seed_e = 7;
-    config.pool = &pool;
     shapley::GroupShapley evaluator(n, config, &utility);
     Stopwatch timer;
     auto totals =

@@ -9,12 +9,13 @@
 // retrains 2^n coalition models while GroupSV only aggregates local
 // updates.
 //
-// Since the coalition-engine PR this bench also tracks the engine
-// speedup: each m is timed three ways — the seed's naive serial walk
-// (rebuild every coalition from scratch, unfused utility), the engine
-// without a pool, and the engine on a hardware-sized pool — and the
-// rows land in BENCH_table1.json for cross-PR trend tracking. The
-// engine's 1-thread and N-thread SV outputs are asserted bit-identical.
+// The bench also tracks the coalition engine's speedup: each m is timed
+// two ways — the seed's naive serial walk (rebuild every coalition from
+// scratch, unfused utility) and the engine, which is what every miner
+// runs on the chain — and the rows land in BENCH_table1.json for
+// cross-PR trend tracking. GroupSV runs serially, as on the chain; the
+// hardware-sized pool trains the FL run and retrains NativeSV's 2^9
+// coalition models.
 //
 // Flags: --skip-native omits the (slow) 2^9-retraining baseline.
 // --quick runs the CI observability-overhead gate instead of the full
@@ -102,12 +103,11 @@ Result<std::vector<double>> NaiveGroupTotals(
 Result<std::vector<double>> EngineGroupTotals(
     const std::vector<std::vector<ml::Matrix>>& per_round_locals,
     size_t num_users, size_t m, uint64_t seed_e,
-    const ml::Dataset& test_set, ThreadPool* pool) {
+    const ml::Dataset& test_set) {
   shapley::TestAccuracyUtility utility(test_set);
   shapley::GroupShapleyConfig config;
   config.num_groups = m;
   config.seed_e = seed_e;
-  config.pool = pool;
   shapley::GroupShapley evaluator(num_users, config, &utility);
   return evaluator.AccumulateOverRounds(per_round_locals);
 }
@@ -123,9 +123,8 @@ bool BitIdentical(const std::vector<double>& a,
 
 /// The --quick CI gate: per-coalition histogram/span recording on the
 /// m=9 hot path must cost < 3% wall time and must not perturb the SV
-/// numbers. Timed serially (no pool) so the comparison isn't at the
-/// mercy of scheduler jitter, interleaved on/off with min-of-reps so
-/// thermal drift hits both sides equally.
+/// numbers. Interleaved on/off with min-of-reps so thermal drift hits
+/// both sides equally.
 int RunObsOverheadGate(uint64_t seed_e) {
   constexpr size_t kGateGroups = 9;
   constexpr int kReps = 5;
@@ -151,8 +150,7 @@ int RunObsOverheadGate(uint64_t seed_e) {
     obs::Tracer::Global().set_enabled(true);
     Stopwatch on_timer;
     auto with_obs = EngineGroupTotals(run.per_round_locals, Workload::kOwners,
-                                      kGateGroups, seed_e, workload.test_set,
-                                      nullptr);
+                                      kGateGroups, seed_e, workload.test_set);
     best_on_s = std::min(best_on_s, on_timer.ElapsedSeconds());
 
     obs::MetricsRegistry::set_enabled(false);
@@ -160,7 +158,7 @@ int RunObsOverheadGate(uint64_t seed_e) {
     Stopwatch off_timer;
     auto without_obs = EngineGroupTotals(run.per_round_locals,
                                          Workload::kOwners, kGateGroups,
-                                         seed_e, workload.test_set, nullptr);
+                                         seed_e, workload.test_set);
     best_off_s = std::min(best_off_s, off_timer.ElapsedSeconds());
     obs::MetricsRegistry::set_enabled(true);
     obs::Tracer::Global().set_enabled(true);
@@ -224,7 +222,6 @@ int main(int argc, char** argv) {
   const size_t hw_threads =
       std::max<size_t>(1, std::thread::hardware_concurrency());
   ThreadPool pool(hw_threads);
-  ThreadPool single(1);
 
   Workload workload = Workload::Make(kSigma);
   // The FL run itself is not part of the timed evaluation (the paper
@@ -232,12 +229,11 @@ int main(int argc, char** argv) {
   auto run = workload.trainer->Run(&pool).value();
 
   std::printf("Table I reproduction: contribution-evaluation runtime\n");
-  std::printf("(naive = seed serial walk; engine = coalition engine, "
-              "serial and %zu-thread)\n", hw_threads);
+  std::printf("(naive = seed serial walk; engine = coalition engine; "
+              "NativeSV on %zu threads)\n", hw_threads);
   PrintRule();
-  std::printf("%-8s %-9s %-11s %-11s %-11s %-9s %-12s\n", "method",
-              "# groups", "naive/s", "engine1/s", "engineN/s", "speedup",
-              "paper time/s");
+  std::printf("%-8s %-9s %-11s %-11s %-9s %-12s\n", "method", "# groups",
+              "naive/s", "engine/s", "speedup", "paper time/s");
   PrintRule();
 
   JsonWriter json;
@@ -252,7 +248,6 @@ int main(int argc, char** argv) {
 
   double naive_total = 0, engine_total = 0;
   double group_sv_at_9 = 0;
-  bool all_bit_identical = true;
   for (size_t m = 2; m <= 9; ++m) {
     Stopwatch naive_timer;
     auto naive = NaiveGroupTotals(run.per_round_locals, Workload::kOwners,
@@ -264,47 +259,27 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    Stopwatch serial_timer;
-    auto serial = EngineGroupTotals(run.per_round_locals, Workload::kOwners,
-                                    m, kSeedE, workload.test_set, nullptr);
-    const double serial_s = serial_timer.ElapsedSeconds();
-
-    Stopwatch parallel_timer;
-    auto parallel = EngineGroupTotals(run.per_round_locals,
-                                      Workload::kOwners, m, kSeedE,
-                                      workload.test_set, &pool);
-    const double parallel_s = parallel_timer.ElapsedSeconds();
-    if (!serial.ok() || !parallel.ok()) {
+    Stopwatch engine_timer;
+    auto engine = EngineGroupTotals(run.per_round_locals, Workload::kOwners,
+                                    m, kSeedE, workload.test_set);
+    const double engine_s = engine_timer.ElapsedSeconds();
+    if (!engine.ok()) {
       std::printf("engine GroupSV failed at m=%zu\n", m);
       return 1;
     }
 
-    // Determinism contract: 1 worker vs hardware_threads workers must be
-    // bit-for-bit identical.
-    auto one_thread = EngineGroupTotals(run.per_round_locals,
-                                        Workload::kOwners, m, kSeedE,
-                                        workload.test_set, &single);
-    const bool bit_identical = one_thread.ok() &&
-                               BitIdentical(*one_thread, *parallel) &&
-                               BitIdentical(*serial, *parallel);
-    all_bit_identical = all_bit_identical && bit_identical;
-
-    const double speedup = parallel_s > 0 ? naive_s / parallel_s : 0;
+    const double speedup = engine_s > 0 ? naive_s / engine_s : 0;
     naive_total += naive_s;
-    engine_total += parallel_s;
-    if (m == 9) group_sv_at_9 = parallel_s;
-    std::printf("%-8s %-9zu %-11.3f %-11.3f %-11.3f %-9.2f %-12.0f%s\n",
-                "GroupSV", m, naive_s, serial_s, parallel_s, speedup,
-                kPaperGroup[m - 2], bit_identical ? "" : "  !!nondet");
+    engine_total += engine_s;
+    if (m == 9) group_sv_at_9 = engine_s;
+    std::printf("%-8s %-9zu %-11.3f %-11.3f %-9.2f %-12.0f\n", "GroupSV", m,
+                naive_s, engine_s, speedup, kPaperGroup[m - 2]);
 
     json.BeginObject();
     json.Field("m", m);
     json.Field("naive_s", naive_s);
-    json.Field("engine_serial_s", serial_s);
-    json.Field("engine_parallel_s", parallel_s);
-    json.Field("speedup_serial", serial_s > 0 ? naive_s / serial_s : 0.0);
-    json.Field("speedup_parallel", speedup);
-    json.Field("bit_identical_across_threads", bit_identical);
+    json.Field("engine_s", engine_s);
+    json.Field("speedup", speedup);
     json.Field("paper_s", kPaperGroup[m - 2]);
     json.EndObject();
   }
@@ -313,15 +288,12 @@ int main(int argc, char** argv) {
   json.Field("group_sv_engine_total_s", engine_total);
   json.Field("group_sv_total_speedup",
              engine_total > 0 ? naive_total / engine_total : 0.0);
-  json.Field("bit_identical_across_threads", all_bit_identical);
 
   PrintRule();
   std::printf("GroupSV m=2..9 end-to-end: naive %.3f s, engine %.3f s "
-              "(%.2fx); 1-thread vs %zu-thread outputs %s\n",
+              "(%.2fx)\n",
               naive_total, engine_total,
-              engine_total > 0 ? naive_total / engine_total : 0.0,
-              hw_threads,
-              all_bit_identical ? "bit-identical" : "DIVERGED");
+              engine_total > 0 ? naive_total / engine_total : 0.0);
 
   if (!skip_native) {
     // Native SV: 2^9 coalition models retrained from scratch (the
@@ -333,8 +305,8 @@ int main(int argc, char** argv) {
     double elapsed = timer.ElapsedSeconds();
     (void)truth;
     PrintRule();
-    std::printf("%-8s %-9d %-11s %-11s %-11.3f %-9s %-12.0f\n", "NativeSV",
-                9, "-", "-", elapsed, "-", kPaperNative);
+    std::printf("%-8s %-9d %-11s %-11.3f %-9s %-12.0f\n", "NativeSV", 9, "-",
+                elapsed, "-", kPaperNative);
     std::printf(
         "Shape check: GroupSV(m=9) / NativeSV = %.3f (paper: %.3f);\n"
         "GroupSV cost roughly doubles per extra group in both columns.\n",
@@ -356,5 +328,5 @@ int main(int argc, char** argv) {
                 exported.ToString().c_str());
     return 1;
   }
-  return all_bit_identical ? 0 : 1;
+  return 0;
 }

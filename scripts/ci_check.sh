@@ -70,9 +70,10 @@ BENCH_KERNELS="$(cd "$BUILD_DIR" && pwd)/bench/bench_kernels"
 
 # Chain-equivalence smoke: bench_chain_throughput exits non-zero unless
 # the Montgomery Schnorr path agrees with the seed reference verifier,
-# incremental/pooled Merkle builds are bit-identical to the batch build,
-# the mempool's promoted root matches a from-scratch block root, and a
-# consensus run commits identical blocks with and without a chain pool.
+# incremental Merkle builds are bit-identical to the batch build, the
+# mempool's promoted root matches a from-scratch block root, and a
+# consensus run commits identical blocks with and without a replica
+# pool.
 # It drops BENCH_chain.json in the working directory.
 BENCH_CHAIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_chain_throughput"
 (cd "$ARTIFACT_DIR" && "$BENCH_CHAIN" --quick)

@@ -1,40 +1,32 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive targets under ThreadSanitizer and runs
-# the thread-pool, coalition-engine, kernel, secure-aggregation, native-SV
-# and observability suites. These are the places real data races could
-# hide: the chunked ParallelFor, the row-partitioned parallel GEMM, the
-# per-peer parallel mask expansion, the engine's parallel utility scoring
-# + sharded CachingUtility, parallel coalition retraining, and the
-# sharded metrics / thread-local span machinery in src/obs.
-# bench_kernels --quick also runs: it exercises every optimized kernel
-# against the reference path with a pool attached, under TSan.
-# test_fault and a reduced test_chaos sweep run the full faulted
-# protocol (fault injection, recovery, view changes) under TSan too.
-# Since the chain-throughput-engine PR the sweep also covers the sharded
-# signature-verify cache, the pooled Merkle/mempool builds (test_sig_cache,
-# test_merkle) and bench_chain_throughput --quick, whose pre-verification
-# fan-out and chain pool run hot under TSan.
-# Since the telemetry-plane PR it also covers the HTTP exporter (scrape
-# threads racing a live coordinator round) and the round ledger's
-# coordinator wiring, plus the snapshot-vs-Reset stress in test_metrics.
-# Since the parallel round engine PR it also covers the owner fan-out
-# (test_round_engine: concurrent train/mask/payload against the
-# allocation-free ParallelFor), the batched Shamir recovery under a pool
-# (test_shamir, test_dropout_recovery) and bench_e2e_rounds --quick,
-# whose pool-1 and pool-N sessions run the whole protocol both ways.
-# Since the byzantine-hardening PR it also covers the Feldman share
-# verification (test_vss, batched ModPow under a pool) and the full
-# accusation/slashing path at pool sizes 1 and 3 (test_byzantine), where
-# slash transactions race the owner fan-out.
-# Since the durable-persistence PR it also covers kill/restart recovery
-# (test_resume, reduced to the multi-worker cases): the block-log commit
-# sink and checkpoint writes interleave with the hot owner fan-out, and
-# the resumed session must still be bit-identical.
-# Since replica-parallel block execution it also covers the consensus
-# engine on a pool (test_consensus: followers validating, replicas
-# committing and laggards catching up side by side, each on its own
-# replica while sharing the contract host and its caches) and the
-# coordinator suites, whose sessions run every block that way.
+# the suites below. A session has one thread pool, the round engine's,
+# passed explicitly to every stage that runs on it; those stages, plus
+# the shared structures their tasks touch, are where real data races
+# could hide:
+# - the pool itself: chunked, allocation-free ParallelFor and nested
+#   calls running inline on a worker (test_thread_pool);
+# - the owner fan-out: concurrent train/encode/mask, each owner on its
+#   own MaskScratch (test_round_engine, test_secureagg);
+# - replica-parallel block execution: followers validating, replicas
+#   committing and laggards catching up side by side while sharing the
+#   contract host, its signature-verify cache and the Merkle/mempool
+#   builds (test_consensus, test_sig_cache, test_merkle,
+#   bench_chain_throughput --quick, which runs a consensus engine with
+#   and without a pool);
+# - batched Shamir/Feldman recovery on the pool (test_shamir, test_vss,
+#   test_dropout_recovery);
+# - native SV's coalition retraining and the coalition engine's
+#   weight-space scoring on a pool (test_native_sv,
+#   test_coalition_engine, test_utility), and row-blocked GEMM calls on
+#   pool workers (test_kernels, bench_kernels --quick);
+# - the sharded metrics, thread-local spans, the HTTP exporter's scrape
+#   threads racing a live round, and the round ledger (test_metrics,
+#   test_tracer, test_http_exporter, test_round_ledger);
+# - whole sessions at pool sizes 1 and 3: faults and a reduced chaos
+#   sweep, byzantine slashing, kill/restart, the golden matrix and
+#   bench_e2e_rounds --quick (test_fault, test_chaos, test_byzantine,
+#   test_resume, test_coordinator, test_golden_sessions).
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail

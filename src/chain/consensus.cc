@@ -256,25 +256,23 @@ Result<CommitResult> ConsensusEngine::TryPropose(uint64_t height,
       leader.ProposeBlock(network_.clock().NowMicros() + 1,
                           config_.max_txs_per_block));
 
-  // With a pool, the followers the proposal can reach re-execute it
-  // now, side by side; the handler casts each verdict on delivery.
-  if (pool_ != nullptr) {
-    std::vector<uint32_t> followers;
-    for (const auto& miner : miners_) {
-      const uint32_t id = miner->id();
-      if (id == leader_id) continue;
-      if (injector_ != nullptr && injector_->MinerUnavailable(leader_id, id)) {
-        continue;
-      }
-      followers.push_back(id);
+  // The followers the proposal can reach re-execute it now (side by
+  // side with a pool); the handler casts each verdict on delivery.
+  std::vector<uint32_t> followers;
+  for (const auto& miner : miners_) {
+    const uint32_t id = miner->id();
+    if (id == leader_id) continue;
+    if (injector_ != nullptr && injector_->MinerUnavailable(leader_id, id)) {
+      continue;
     }
-    const crypto::Digest hash = proposal.header.Hash();
-    ForEachReplica(followers.size(), [&](size_t i) {
-      const uint32_t id = followers[i];
-      auto verdict = miners_[id]->ValidateProposal(proposal);
-      verdicts_[id] = StoredVerdict{hash, verdict.ok() && *verdict};
-    });
+    followers.push_back(id);
   }
+  const crypto::Digest hash = proposal.header.Hash();
+  ForEachReplica(followers.size(), [&](size_t i) {
+    const uint32_t id = followers[i];
+    auto verdict = miners_[id]->ValidateProposal(proposal);
+    verdicts_[id] = StoredVerdict{hash, verdict.ok() && *verdict};
+  });
 
   // Arm the vote box, broadcast, and drain the network: validators
   // vote inside the drain.

@@ -46,11 +46,12 @@ struct CommitResult {
 ///  1. The schedule picks a leader for the next height; the leader
 ///     executes its mempool on a scratch state and broadcasts the block.
 ///  2. Every other miner re-executes the proposal against its own state
-///     replica and unicasts an accept/reject vote back. With a pool
-///     attached (`set_pool`) the reachable followers re-execute
-///     concurrently, one replica per task, before the broadcast; each
+///     replica and unicasts an accept/reject vote back. The reachable
+///     followers re-execute before the broadcast (concurrently, one
+///     replica per task, with a pool attached via `set_pool`); each
 ///     stored verdict is cast when the proposal reaches its miner, so
-///     message order, drops and the tally are those of inline validation.
+///     message order, drops and the tally are those of validating on
+///     delivery.
 ///  3. With strict-majority accepts (> n/2, the proposer counting as an
 ///     implicit accept), every reachable miner commits (concurrently,
 ///     with a pool); otherwise the proposal is discarded and the next
@@ -180,9 +181,10 @@ class ConsensusEngine {
   Block pending_proposal_;
   bool proposal_valid_ = false;
 
-  // Verdicts of the followers that validated the in-flight proposal on
-  // the pool, by miner id. The proposal handler casts one when a message
-  // carrying that block reaches the miner, then drops it; whatever the
+  // Verdicts of the followers that validated the in-flight proposal
+  // before its broadcast, by miner id. The proposal handler casts one
+  // when a message carrying that block reaches the miner, then drops it
+  // (a duplicate delivered after that is validated inline); whatever the
   // network dropped is discarded with the attempt.
   struct StoredVerdict {
     crypto::Digest block_hash{};

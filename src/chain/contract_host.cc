@@ -40,15 +40,9 @@ void ContractHost::PreVerifySignatures(
   // VerifyCached both skips known-good signatures and records fresh
   // successes; failures are left uncached for the execution loop to
   // re-establish (fail-closed).
-  ThreadPool* pool = ChainPool();
-  if (pool == nullptr || txs.size() < 2) {
-    for (size_t i = 0; i < txs.size(); ++i) {
-      (void)VerifyCached(txs[i], hashes[i]);
-    }
-    return;
+  for (size_t i = 0; i < txs.size(); ++i) {
+    (void)VerifyCached(txs[i], hashes[i]);
   }
-  pool->ParallelFor(txs.size(),
-                    [&](size_t i) { (void)VerifyCached(txs[i], hashes[i]); });
 }
 
 Result<TxReceipt> ContractHost::ExecuteTransaction(const Transaction& tx,

@@ -52,12 +52,10 @@ class ContractHost {
   Result<std::vector<TxReceipt>> ExecuteBlock(
       const std::vector<Transaction>& txs, ContractState* state) const;
 
-  /// Verifies the signatures of `txs` up front — chunked across the
-  /// chain pool when one is installed, inline otherwise — and warms the
-  /// shared verification cache so the serial re-execution loop never
-  /// pays a modexp for a signature any replica already checked.
-  /// Verdicts are not returned: execution re-asks the cache per tx, so
-  /// outcomes are bit-identical for any pool size (including none).
+  /// Verifies the signatures of `txs` up front and warms the shared
+  /// verification cache so the re-execution loop never pays a modexp for
+  /// a signature any replica already checked. Verdicts are not returned:
+  /// execution re-asks the cache per tx.
   void PreVerifySignatures(const std::vector<Transaction>& txs) const;
 
   const crypto::Schnorr& scheme() const { return scheme_; }

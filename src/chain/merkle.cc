@@ -1,57 +1,25 @@
 #include "chain/merkle.h"
 
-#include <algorithm>
 #include <cstring>
-#include <functional>
-
-#include "chain/sig_cache.h"
 
 namespace bcfl::chain {
 
 namespace {
-
-/// Minimum hashes per chunk before the pool is worth waking.
-constexpr size_t kMerkleGrain = 128;
-
-/// Runs fn(begin, end) over [0, count) — in one inline call, or chunked
-/// across the chain pool for large counts. The chunk partition only
-/// decides which thread computes which output slot, never a digest.
-void ForEachChunk(size_t count,
-                  const std::function<void(size_t, size_t)>& fn) {
-  ThreadPool* pool = ChainPool();
-  if (pool == nullptr || count < 2 * kMerkleGrain ||
-      ThreadPool::InWorkerThread()) {
-    fn(0, count);
-    return;
-  }
-  size_t nchunks = (count + kMerkleGrain - 1) / kMerkleGrain;
-  pool->ParallelFor(
-      nchunks,
-      [&](size_t c) {
-        size_t begin = c * kMerkleGrain;
-        size_t end = std::min(count, begin + kMerkleGrain);
-        fn(begin, end);
-      },
-      1);
-}
 
 /// out[i] = LeafHash(leaves[i]) via the batched SHA-256 path.
 void HashLeafLevel(const std::vector<crypto::Digest>& leaves,
                    std::vector<crypto::Digest>* out) {
   size_t n = leaves.size();
   out->resize(n);
-  ForEachChunk(n, [&](size_t begin, size_t end) {
-    size_t cnt = end - begin;
-    std::vector<uint8_t> pre(cnt * 33);
-    std::vector<const uint8_t*> ptrs(cnt);
-    for (size_t i = 0; i < cnt; ++i) {
-      uint8_t* p = pre.data() + i * 33;
-      p[0] = 0x00;
-      std::memcpy(p + 1, leaves[begin + i].data(), 32);
-      ptrs[i] = p;
-    }
-    crypto::Sha256Batch(ptrs.data(), 33, cnt, out->data() + begin);
-  });
+  std::vector<uint8_t> pre(n * 33);
+  std::vector<const uint8_t*> ptrs(n);
+  for (size_t i = 0; i < n; ++i) {
+    uint8_t* p = pre.data() + i * 33;
+    p[0] = 0x00;
+    std::memcpy(p + 1, leaves[i].data(), 32);
+    ptrs[i] = p;
+  }
+  crypto::Sha256Batch(ptrs.data(), 33, n, out->data());
 }
 
 /// next[i] = NodeHash(prev[2i], prev[2i+1] or duplicated last node).
@@ -59,21 +27,18 @@ void HashNodeLevel(const std::vector<crypto::Digest>& prev,
                    std::vector<crypto::Digest>* next) {
   size_t n = (prev.size() + 1) / 2;
   next->resize(n);
-  ForEachChunk(n, [&](size_t begin, size_t end) {
-    size_t cnt = end - begin;
-    std::vector<uint8_t> pre(cnt * 65);
-    std::vector<const uint8_t*> ptrs(cnt);
-    for (size_t i = 0; i < cnt; ++i) {
-      size_t left = 2 * (begin + i);
-      size_t right = left + 1 < prev.size() ? left + 1 : left;
-      uint8_t* p = pre.data() + i * 65;
-      p[0] = 0x01;
-      std::memcpy(p + 1, prev[left].data(), 32);
-      std::memcpy(p + 33, prev[right].data(), 32);
-      ptrs[i] = p;
-    }
-    crypto::Sha256Batch(ptrs.data(), 65, cnt, next->data() + begin);
-  });
+  std::vector<uint8_t> pre(n * 65);
+  std::vector<const uint8_t*> ptrs(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t left = 2 * i;
+    size_t right = left + 1 < prev.size() ? left + 1 : left;
+    uint8_t* p = pre.data() + i * 65;
+    p[0] = 0x01;
+    std::memcpy(p + 1, prev[left].data(), 32);
+    std::memcpy(p + 33, prev[right].data(), 32);
+    ptrs[i] = p;
+  }
+  crypto::Sha256Batch(ptrs.data(), 65, n, next->data());
 }
 
 }  // namespace

@@ -23,11 +23,7 @@ struct MerkleProofStep {
 class MerkleTree {
  public:
   /// Builds the tree; an empty leaf set yields the all-zero root.
-  ///
-  /// Level hashing goes through the batched SHA-256 path and, when a
-  /// chain pool is installed (SetChainPool) and the level is large
-  /// enough, is chunked across it. Chunk boundaries never influence any
-  /// digest, so the tree is bit-identical for every pool size.
+  /// Each level is hashed in one batched SHA-256 call.
   explicit MerkleTree(const std::vector<crypto::Digest>& leaves);
 
   /// Appends one leaf, recomputing only the right edge: O(log n) hashes

@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
 #include "crypto/sha256.h"
 
 namespace bcfl::chain {
@@ -57,12 +56,5 @@ class SigVerifyCache {
 
   mutable std::array<Shard, kShards> shards_;
 };
-
-/// Thread pool consulted by the chain layer's parallel paths (signature
-/// pre-verification, level-parallel Merkle builds). Null — the default —
-/// means every path runs inline on the caller, bit-identical by
-/// construction. Mirrors ml::kernels::SetParallelPool.
-void SetChainPool(ThreadPool* pool);
-ThreadPool* ChainPool();
 
 }  // namespace bcfl::chain

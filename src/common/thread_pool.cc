@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace bcfl {
 
@@ -39,8 +38,6 @@ void RunParallelForChunk(ParallelForCtx* ctx, size_t c) {
   if (--ctx->remaining == 0) ctx->done.notify_one();
 }
 }  // namespace
-
-bool ThreadPool::InWorkerThread() { return tls_pool_worker; }
 
 size_t ThreadPool::DefaultThreads() {
   unsigned hw = std::thread::hardware_concurrency();
@@ -84,9 +81,7 @@ void ThreadPool::ParallelFor(size_t count,
                              size_t grain) {
   if (count == 0) return;
   if (tls_pool_worker) {
-    // Nested ParallelFor: every worker may already be parked waiting on
-    // this very call's chunks, so enqueueing would deadlock. Run inline;
-    // the per-index work is identical, so results do not change.
+    // Nested ParallelFor (see the header): run inline.
     for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }

@@ -11,8 +11,10 @@
 namespace bcfl {
 
 /// Fixed-size worker pool used to parallelise embarrassingly parallel
-/// stages: coalition-model utility evaluation in the Shapley module and
-/// per-owner local training in the FL driver.
+/// stages. A session owns exactly one (the round engine's) and passes it
+/// explicitly to the owner fan-out, the miners' replica execution and
+/// share reconstruction; native SV's coalition retraining takes one too.
+/// No layer keeps a process-global pool.
 ///
 /// Tasks are plain `std::function<void()>`; callers that need results wrap
 /// them in `std::packaged_task` via `Submit`.
@@ -52,6 +54,11 @@ class ThreadPool {
   /// lowest-indexed failing chunk is rethrown to the caller (the same
   /// error a serial loop would surface first).
   ///
+  /// A ParallelFor issued from inside a worker of any pool runs inline on
+  /// that worker: every worker may already be parked waiting on the
+  /// outer call's chunks, so enqueueing would deadlock. The per-index
+  /// work is identical either way.
+  ///
   /// The dispatch itself is allocation-free per chunk: chunks share one
   /// stack-allocated context, the per-chunk closures (context pointer +
   /// chunk index) fit std::function's small-buffer storage, and all
@@ -65,15 +72,6 @@ class ThreadPool {
   /// Worker count to use when the caller does not specify one:
   /// std::thread::hardware_concurrency(), clamped to at least 1.
   static size_t DefaultThreads();
-
-  /// True when the calling thread is a worker of *any* ThreadPool.
-  /// A ParallelFor issued from a worker runs inline on that worker
-  /// instead of enqueueing: a pool task that re-enters ParallelFor (e.g.
-  /// coalition retraining whose inner GEMM is itself row-parallel) would
-  /// otherwise block on chunks that can never be scheduled once every
-  /// worker is parked in the same wait. Kernel-layer callers also use
-  /// this to skip the parallel path entirely when already inside a task.
-  static bool InWorkerThread();
 
  private:
   void WorkerLoop();

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
 
-#include "common/sim_clock.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 // The optimized kernels must stay bit-identical to the reference loops,
@@ -149,21 +146,8 @@ namespace {
 /// per-block fixed cost in the gradient stage, larger ones evict the
 /// logits.
 constexpr size_t kRowBlock = 256;
-/// Output-row count before Gemm considers the parallel path.
-constexpr size_t kParallelRowThreshold = 512;
-/// Fixed parallel chunk: independent of the pool size, so the work (and
-/// the per-element arithmetic) decomposes identically for any thread
-/// count.
-constexpr size_t kParallelRowChunk = 128;
-/// Column (i) count before GemmTransA considers the parallel path.
-constexpr size_t kParallelColThreshold = 256;
-constexpr size_t kParallelColChunk = 64;
-/// GEMMs at least this many flops get timed for the GFLOP/s gauge.
-constexpr double kTimedFlops = 2e6;
 /// Widest output handled by the fixed-width register-accumulator cores.
 constexpr size_t kMaxFixedBc = 16;
-
-std::atomic<ThreadPool*> g_pool{nullptr};
 
 bool HasAvx2() {
 #if BCFL_KERNELS_HAVE_AVX2_CLONES
@@ -216,7 +200,7 @@ BCFL_ALWAYS_INLINE void GemmRowsCore(const double* __restrict a, size_t r0,
   }
 }
 
-/// out[i,:] += sum_{k in [r0,r1)} a[k,i] * d[k - r0,:] for i in [i0, i1).
+/// out[i,:] += sum_{k in [r0,r1)} a[k,i] * d[k - r0,:] for i in [0, ac).
 /// Column-dot with the i-axis unrolled by four; `out` carries the prefix
 /// accumulated over k < r0, so chaining calls over ascending k-blocks
 /// reproduces the flat k-ascending order exactly.
@@ -224,10 +208,9 @@ template <size_t BC>
 BCFL_ALWAYS_INLINE void GemmTransAAccumCore(const double* __restrict a,
                                             size_t r0, size_t r1, size_t ac,
                                             const double* __restrict d,
-                                            double* __restrict out, size_t i0,
-                                            size_t i1) {
-  size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
+                                            double* __restrict out) {
+  size_t i = 0;
+  for (; i + 4 <= ac; i += 4) {
     double acc[4][BC];
     for (size_t r = 0; r < 4; ++r) {
       for (size_t j = 0; j < BC; ++j) acc[r][j] = out[(i + r) * BC + j];
@@ -244,7 +227,7 @@ BCFL_ALWAYS_INLINE void GemmTransAAccumCore(const double* __restrict a,
       for (size_t j = 0; j < BC; ++j) out[(i + r) * BC + j] = acc[r][j];
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < ac; ++i) {
     double acc[BC];
     for (size_t j = 0; j < BC; ++j) acc[j] = out[i * BC + j];
     const double* ap = a + r0 * ac + i;
@@ -294,10 +277,9 @@ BCFL_ALWAYS_INLINE void GemmRowsGenericCore(const double* __restrict a,
 
 BCFL_ALWAYS_INLINE void GemmTransAAccumGenericCore(
     const double* __restrict a, size_t r0, size_t r1, size_t ac,
-    const double* __restrict d, size_t bc, double* __restrict out, size_t i0,
-    size_t i1) {
+    const double* __restrict d, size_t bc, double* __restrict out) {
   constexpr size_t kTile = 8;
-  for (size_t i = i0; i < i1; ++i) {
+  for (size_t i = 0; i < ac; ++i) {
     size_t j0 = 0;
     for (; j0 < bc; j0 += kTile) {
       const size_t width = std::min(kTile, bc - j0);
@@ -409,14 +391,13 @@ BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE void GemmRowsIntr(
 template <size_t BC>
 BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE void GemmTransAAccumIntr(
     const double* __restrict a, size_t r0, size_t r1, size_t ac,
-    const double* __restrict d, double* __restrict out, size_t i0,
-    size_t i1) {
+    const double* __restrict d, double* __restrict out) {
   static_assert(BC >= 4, "scalar core covers narrow outputs");
   constexpr size_t F = BC / 4;
   constexpr size_t R = BC % 4;
   constexpr size_t IU = BC <= 12 ? 4 : 2;
-  size_t i = i0;
-  for (; i + IU <= i1; i += IU) {
+  size_t i = 0;
+  for (; i + IU <= ac; i += IU) {
     __m256d acc[IU][F];
     [[maybe_unused]] __m128d pair[IU];
     [[maybe_unused]] double last[IU];
@@ -455,7 +436,7 @@ BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE void GemmTransAAccumIntr(
       if constexpr (R % 2 == 1) orow[BC - 1] = last[r];
     }
   }
-  for (; i < i1; ++i) {
+  for (; i < ac; ++i) {
     double* orow = out + i * BC;
     __m256d acc[F];
     for (size_t f = 0; f < F; ++f) acc[f] = _mm256_loadu_pd(orow + 4 * f);
@@ -549,7 +530,7 @@ BCFL_ALWAYS_INLINE double FusedStepCore(const double* __restrict aug,
     const size_t r1 = std::min(rows, r0 + kRowBlock);
     GemmRowsCore<BC>(aug, r0, r1, cols, weights, logits);
     FusedSoftmaxEpilogue<BC>(logits, r1 - r0, labels + r0, &loss);
-    GemmTransAAccumCore<BC>(aug, r0, r1, cols, logits, grad, 0, cols);
+    GemmTransAAccumCore<BC>(aug, r0, r1, cols, logits, grad);
   }
   const double n = static_cast<double>(rows);
   loss /= n;
@@ -572,7 +553,7 @@ BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE double FusedStepCoreIntr(
     const size_t r1 = std::min(rows, r0 + kRowBlock);
     GemmRowsIntr<BC>(aug, r0, r1, cols, weights, logits);
     FusedSoftmaxEpilogue<BC>(logits, r1 - r0, labels + r0, &loss);
-    GemmTransAAccumIntr<BC>(aug, r0, r1, cols, logits, grad, 0, cols);
+    GemmTransAAccumIntr<BC>(aug, r0, r1, cols, logits, grad);
   }
   const double n = static_cast<double>(rows);
   loss /= n;
@@ -592,14 +573,13 @@ BCFL_TARGET_AVX2 BCFL_ALWAYS_INLINE double FusedStepCoreIntr(
 using RowsFn = void (*)(const double*, size_t, size_t, size_t, const double*,
                         double*);
 using AccumFn = void (*)(const double*, size_t, size_t, size_t, const double*,
-                         double*, size_t, size_t);
+                         double*);
 using FusedFn = double (*)(const double*, size_t, size_t, const int*, double,
                            double, double*, double*, double*);
 using RowsGenericFn = void (*)(const double*, size_t, size_t, size_t,
                                const double*, size_t, double*);
 using AccumGenericFn = void (*)(const double*, size_t, size_t, size_t,
-                                const double*, size_t, double*, size_t,
-                                size_t);
+                                const double*, size_t, double*);
 
 template <size_t BC>
 void GemmRowsBase(const double* a, size_t r0, size_t r1, size_t ac,
@@ -608,8 +588,8 @@ void GemmRowsBase(const double* a, size_t r0, size_t r1, size_t ac,
 }
 template <size_t BC>
 void GemmTransAAccumBase(const double* a, size_t r0, size_t r1, size_t ac,
-                         const double* d, double* out, size_t i0, size_t i1) {
-  GemmTransAAccumCore<BC>(a, r0, r1, ac, d, out, i0, i1);
+                         const double* d, double* out) {
+  GemmTransAAccumCore<BC>(a, r0, r1, ac, d, out);
 }
 template <size_t BC>
 double FusedStepBase(const double* aug, size_t rows, size_t cols,
@@ -624,8 +604,8 @@ void GemmRowsGenericBase(const double* a, size_t r0, size_t r1, size_t ac,
 }
 void GemmTransAAccumGenericBase(const double* a, size_t r0, size_t r1,
                                 size_t ac, const double* d, size_t bc,
-                                double* out, size_t i0, size_t i1) {
-  GemmTransAAccumGenericCore(a, r0, r1, ac, d, bc, out, i0, i1);
+                                double* out) {
+  GemmTransAAccumGenericCore(a, r0, r1, ac, d, bc, out);
 }
 
 #if BCFL_KERNELS_HAVE_AVX2_CLONES
@@ -641,12 +621,11 @@ BCFL_TARGET_AVX2 void GemmRowsAvx2(const double* a, size_t r0, size_t r1,
 template <size_t BC>
 BCFL_TARGET_AVX2 void GemmTransAAccumAvx2(const double* a, size_t r0,
                                           size_t r1, size_t ac,
-                                          const double* d, double* out,
-                                          size_t i0, size_t i1) {
+                                          const double* d, double* out) {
   if constexpr (BC >= 4) {
-    GemmTransAAccumIntr<BC>(a, r0, r1, ac, d, out, i0, i1);
+    GemmTransAAccumIntr<BC>(a, r0, r1, ac, d, out);
   } else {
-    GemmTransAAccumCore<BC>(a, r0, r1, ac, d, out, i0, i1);
+    GemmTransAAccumCore<BC>(a, r0, r1, ac, d, out);
   }
 }
 template <size_t BC>
@@ -671,9 +650,8 @@ BCFL_TARGET_AVX2 void GemmRowsGenericAvx2(const double* a, size_t r0,
 BCFL_TARGET_AVX2 void GemmTransAAccumGenericAvx2(const double* a, size_t r0,
                                                  size_t r1, size_t ac,
                                                  const double* d, size_t bc,
-                                                 double* out, size_t i0,
-                                                 size_t i1) {
-  GemmTransAAccumGenericCore(a, r0, r1, ac, d, bc, out, i0, i1);
+                                                 double* out) {
+  GemmTransAAccumGenericCore(a, r0, r1, ac, d, bc, out);
 }
 #endif  // BCFL_KERNELS_HAVE_AVX2_CLONES
 
@@ -954,21 +932,7 @@ BCFL_TARGET_AVX2 void CoalitionRowsAvx2(const CoalitionRows& job,
 }
 #endif  // BCFL_KERNELS_HAVE_AVX2_CLONES
 
-/// True when the caller may fan work out to `pool`: a pool is set, the
-/// current thread is not itself a pool worker (re-entering ParallelFor
-/// from a worker runs inline anyway), and the pool has real parallelism.
-bool MayParallelize(ThreadPool* pool) {
-  return pool != nullptr && pool->num_threads() > 1 &&
-         !ThreadPool::InWorkerThread();
-}
-
 }  // namespace
-
-void SetParallelPool(ThreadPool* pool) {
-  g_pool.store(pool, std::memory_order_relaxed);
-}
-
-ThreadPool* ParallelPool() { return g_pool.load(std::memory_order_relaxed); }
 
 const char* ActivePath() { return HasAvx2() ? "avx2" : "scalar"; }
 
@@ -978,42 +942,11 @@ void Gemm(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
   RecordPathOnce();
   static auto& calls =
       obs::MetricsRegistry::Global().GetCounter("ml.kernels.gemm_calls");
-  static auto& parallel_calls = obs::MetricsRegistry::Global().GetCounter(
-      "ml.kernels.gemm_parallel_calls");
-  static auto& gflops_gauge =
-      obs::MetricsRegistry::Global().GetGauge("ml.kernels.gemm_gflops");
   calls.Add();
-
-  const double flops = 2.0 * static_cast<double>(ar) *
-                       static_cast<double>(ac) * static_cast<double>(bc);
-  Stopwatch timer;
-
-  auto run_rows = [&](size_t r0, size_t r1) {
-    if (bc <= kMaxFixedBc) {
-      PickRows(bc)(a, r0, r1, ac, b, out + r0 * bc);
-    } else {
-      PickRowsGeneric()(a, r0, r1, ac, b, bc, out + r0 * bc);
-    }
-  };
-
-  ThreadPool* pool = ParallelPool();
-  if (ar >= kParallelRowThreshold && MayParallelize(pool)) {
-    const size_t chunks = (ar + kParallelRowChunk - 1) / kParallelRowChunk;
-    pool->ParallelFor(
-        chunks,
-        [&](size_t c) {
-          const size_t r0 = c * kParallelRowChunk;
-          run_rows(r0, std::min(ar, r0 + kParallelRowChunk));
-        },
-        /*grain=*/1);
-    parallel_calls.Add();
+  if (bc <= kMaxFixedBc) {
+    PickRows(bc)(a, 0, ar, ac, b, out);
   } else {
-    run_rows(0, ar);
-  }
-
-  if (flops >= kTimedFlops) {
-    const double s = timer.ElapsedSeconds();
-    if (s > 0) gflops_gauge.Set(flops / s * 1e-9);
+    PickRowsGeneric()(a, 0, ar, ac, b, bc, out);
   }
 }
 
@@ -1024,26 +957,10 @@ void GemmTransA(const double* a, size_t ar, size_t ac, const double* b,
   std::memset(out, 0, ac * bc * sizeof(double));
   if (ar == 0) return;
 
-  auto run_cols = [&](size_t i0, size_t i1) {
-    if (bc <= kMaxFixedBc) {
-      PickAccum(bc)(a, 0, ar, ac, b, out, i0, i1);
-    } else {
-      PickAccumGeneric()(a, 0, ar, ac, b, bc, out, i0, i1);
-    }
-  };
-
-  ThreadPool* pool = ParallelPool();
-  if (ac >= kParallelColThreshold && MayParallelize(pool)) {
-    const size_t chunks = (ac + kParallelColChunk - 1) / kParallelColChunk;
-    pool->ParallelFor(
-        chunks,
-        [&](size_t c) {
-          const size_t i0 = c * kParallelColChunk;
-          run_cols(i0, std::min(ac, i0 + kParallelColChunk));
-        },
-        /*grain=*/1);
+  if (bc <= kMaxFixedBc) {
+    PickAccum(bc)(a, 0, ar, ac, b, out);
   } else {
-    run_cols(0, ac);
+    PickAccumGeneric()(a, 0, ar, ac, b, bc, out);
   }
 }
 

@@ -3,10 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-namespace bcfl {
-class ThreadPool;
-}
-
 namespace bcfl::ml::kernels {
 
 // Compute kernels behind Matrix::MatMul / TransposedMatMul / Transpose
@@ -23,8 +19,9 @@ namespace bcfl::ml::kernels {
 //   * the optimized GEMMs vectorize across *output columns* and unroll
 //     across *output rows*; neither axis carries an accumulation, so no
 //     floating-point operation is reordered;
-//   * the row-parallel path partitions *output rows* into fixed-size
-//     chunks (independent of the pool size), and rows are independent;
+//   * output rows are independent, so a caller that splits a product
+//     into row blocks (and runs them on any threads) gets the same bits
+//     as one call over all rows;
 //   * the AVX2 variants are compiled without FMA, so no multiply-add is
 //     contracted (the build also pins -ffp-contract=off for this file);
 //   * the only arithmetic difference from the seed loops is dropping the
@@ -140,14 +137,6 @@ void ScoreCoalitionRows(const CoalitionRows& job, double* out,
 /// it is also the per-row term of ml's accuracy and log-loss evaluators.
 double CoalitionRowTerm(CoalitionTerm term, const double* scores,
                         size_t classes, int label, size_t coalition_size);
-
-/// Pool used by Gemm/GemmTransA for row-partitioned parallelism above a
-/// size threshold (nullptr = always serial). Partitioning is by output
-/// rows in fixed-size chunks, so results are bit-identical for every
-/// pool size; calls issued from inside a pool worker stay serial (see
-/// ThreadPool::InWorkerThread).
-void SetParallelPool(ThreadPool* pool);
-ThreadPool* ParallelPool();
 
 /// "scalar" or "avx2" — the dispatch the optimized entry points select
 /// on the host CPU. Exported to metrics as

@@ -15,8 +15,6 @@ struct CoalitionEngineConfig {
   /// Worker pool for the utility-evaluation stage (null = serial). The
   /// result is bit-identical for every pool size, including none.
   ThreadPool* pool = nullptr;
-  /// Chunk size handed to ThreadPool::ParallelFor (0 = automatic).
-  size_t grain = 0;
   /// Upper bound on the memory the coalition table may occupy: the
   /// streamed 2^m x classes row table for linear-score utilities, the
   /// weight-space subset-sum table (2^m models) for any other. Above it
@@ -45,7 +43,7 @@ struct CoalitionEngineStats {
 /// the utility u(S) of the *mean-aggregated* model of every coalition
 /// S ⊆ {players}, i.e. the full 2^m utility table that Eq. 1 consumes.
 ///
-/// Four coordinated optimisations over the naive powerset walk:
+/// Three coordinated optimisations over the naive powerset walk:
 ///  1. Subset-sum DP construction — sum[mask] = sum[mask \ highbit] +
 ///     W_highbit — builds all 2^m coalition sums with exactly 2^m - 1
 ///     matrix additions instead of O(2^m * m) rebuild-from-scratch.
@@ -63,13 +61,11 @@ struct CoalitionEngineStats {
 ///     materialized; the working set is ~90 KB at m = 9, whatever the
 ///     test-set size.
 ///  3. Parallel evaluation — weight-space coalition scores are
-///     independent, so they run on the pool into index-addressed slots.
-///     The streamed path is serial: on the chain, the miners' replicas
-///     already evaluate side by side. Output is bit-identical regardless
-///     of thread count.
-///  4. Chunked dispatch — the 2^m-sized loop reaches the pool through
-///     grain-size chunks (ThreadPool::ParallelFor), not one closure per
-///     mask.
+///     independent, so they run on the pool into index-addressed slots,
+///     in automatically sized chunks (ThreadPool::ParallelFor) rather
+///     than one closure per mask. The streamed path is serial: on the
+///     chain, the miners' replicas already evaluate side by side. Output
+///     is bit-identical regardless of thread count.
 class CoalitionEngine {
  public:
   explicit CoalitionEngine(UtilityFunction* utility,

@@ -94,11 +94,8 @@ Result<GroupShapleyRound> GroupShapley::EvaluateRoundFromGroupModels(
   // Line 4: coalition models W_S = (1/|S|) sum_{j in S} W_j for every
   // S in the powerset of groups; utility of each. The empty coalition is
   // the untrained (zero) model. The engine builds the 2^m coalition
-  // models with 2^m - 1 subset-sum additions and scores them on the
-  // configured pool.
-  CoalitionEngineConfig engine_config;
-  engine_config.pool = config_.pool;
-  CoalitionEngine engine(utility_, engine_config);
+  // models with 2^m - 1 subset-sum additions and scores them serially.
+  CoalitionEngine engine(utility_);
   BCFL_ASSIGN_OR_RETURN(std::vector<double> utilities,
                         engine.EvaluateMeanCoalitions(out.group_models));
   out.engine_stats = engine.stats();

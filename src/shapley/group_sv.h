@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "ml/matrix.h"
 #include "shapley/coalition_engine.h"
 #include "shapley/utility.h"
@@ -39,9 +38,6 @@ struct GroupShapleyRound {
 struct GroupShapleyConfig {
   size_t num_groups = 3;  ///< m; trade-off between privacy and resolution.
   uint64_t seed_e = 7;    ///< Permutation seed agreed at setup.
-  /// Worker pool for coalition utility evaluation (null = serial).
-  /// Results are bit-identical for every pool size.
-  ThreadPool* pool = nullptr;
 };
 
 /// The paper's contribution: Group Shapley (Algorithm 1).

@@ -1,9 +1,5 @@
 #include "shapley/utility.h"
 
-#include "common/bytes.h"
-#include "crypto/sha256.h"
-#include "obs/metrics.h"
-
 namespace bcfl::shapley {
 
 namespace {
@@ -86,53 +82,6 @@ Result<double> NegLogLossUtility::Evaluate(const ml::Matrix& weights) {
       double loss,
       ml::LogLossFromAugmented(augmented_, test_set_.labels(), weights));
   return -loss;
-}
-
-CachingUtility::CachingUtility(std::unique_ptr<UtilityFunction> inner)
-    : inner_(std::move(inner)) {}
-
-Result<double> CachingUtility::Evaluate(const ml::Matrix& weights) {
-  // Registry handles resolved once; the per-evaluation cost is one
-  // sharded relaxed add, dwarfed by the SHA-256 keying below.
-  static auto& hit_counter =
-      obs::MetricsRegistry::Global().GetCounter("shapley.cache.hits");
-  static auto& miss_counter =
-      obs::MetricsRegistry::Global().GetCounter("shapley.cache.misses");
-  ByteWriter writer;
-  weights.Serialize(&writer);
-  crypto::Digest digest = crypto::Sha256::Hash(writer.buffer());
-  std::string key(digest.begin(), digest.end());
-  // The digest is uniformly distributed; its first byte picks the shard.
-  Shard& shard = shards_[static_cast<uint8_t>(key[0]) % kNumShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      hit_counter.Add();
-      return it->second;
-    }
-  }
-  // Evaluate outside the lock so concurrent misses on *different* keys
-  // don't serialise; a duplicate racing insert on the same key is benign
-  // (emplace keeps the first, values are identical).
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  miss_counter.Add();
-  BCFL_ASSIGN_OR_RETURN(double value, inner_->Evaluate(weights));
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.emplace(std::move(key), value);
-  }
-  return value;
-}
-
-size_t CachingUtility::cache_size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
 }
 
 }  // namespace bcfl::shapley

@@ -1,11 +1,5 @@
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-
 #include "common/result.h"
 #include "ml/dataset.h"
 #include "ml/kernels.h"
@@ -23,8 +17,7 @@ namespace bcfl::shapley {
 /// be safe for concurrent `Evaluate` calls on one object. Implementations
 /// that are immutable after construction (every utility in this file
 /// builds its derived state in the constructor) satisfy this for free;
-/// stateful implementations must synchronise internally, as
-/// `CachingUtility` does.
+/// stateful implementations must synchronise internally.
 class UtilityFunction {
  public:
   virtual ~UtilityFunction() = default;
@@ -105,42 +98,6 @@ class NegLogLossUtility : public LinearScoreUtility {
   ml::kernels::CoalitionTerm row_term() const override {
     return ml::kernels::CoalitionTerm::kNegLogProb;
   }
-};
-
-/// Memoizing decorator: caches utility values keyed by a SHA-256 of the
-/// weight bytes. Coalition enumeration evaluates many duplicate models
-/// (e.g. W_S for S and for S in another round with identical weights);
-/// the cache makes repeated sweeps cheap and is itself benchmarked.
-///
-/// Thread-safe: the map is sharded by key hash with one mutex per shard,
-/// and hit/miss counters are atomic, so pool workers evaluating disjoint
-/// coalitions rarely contend. The shard lock is NOT held across the
-/// inner evaluation; two threads racing on the same uncached key may
-/// both evaluate (both counted as misses) and the duplicate insert is
-/// dropped — values are deterministic either way. Thread-safe only if
-/// the wrapped utility is.
-class CachingUtility : public UtilityFunction {
- public:
-  explicit CachingUtility(std::unique_ptr<UtilityFunction> inner);
-
-  Result<double> Evaluate(const ml::Matrix& weights) override;
-
-  size_t cache_size() const;
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
- private:
-  static constexpr size_t kNumShards = 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, double> map;
-  };
-
-  std::unique_ptr<UtilityFunction> inner_;
-  std::array<Shard, kNumShards> shards_;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> misses_{0};
 };
 
 }  // namespace bcfl::shapley

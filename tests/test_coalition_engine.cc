@@ -178,14 +178,13 @@ TEST(CoalitionEngineTest, PoolSizeDoesNotChangeUtilityTableOrSv) {
 
 TEST(CoalitionEngineTest, LinearScorePathAgreesWithWeightPath) {
   // TestAccuracyUtility takes the score-sum fast path; forcing the
-  // generic path through a caching wrapper (which hides the capability)
-  // must give the same accuracies up to FP-reassociation argmax ties.
+  // generic path through a wrapper that hides the capability must give
+  // the same accuracies up to FP-reassociation argmax ties.
   const size_t m = 5;
   ml::Dataset data = SmallTestSet();
   auto models = RandomModels(m, data.num_features() + 1, 10, 33);
   TestAccuracyUtility linear_utility(data);
-  CachingUtility generic_utility(
-      std::make_unique<TestAccuracyUtility>(data));
+  WeightSpaceAccuracy generic_utility(data);
 
   CoalitionEngine linear_engine(&linear_utility);
   CoalitionEngine generic_engine(&generic_utility);

@@ -163,21 +163,31 @@ TEST(KernelPropertyTest, FusedStepMatchesReferenceOnRandomShapes) {
 }
 
 TEST(KernelPropertyTest, ParallelGemmBitIdenticalAcrossPoolSizes) {
+  // Output rows are independent, so 64-row blocks multiplied concurrently
+  // on pool workers (the chain path's PlayerScoreRows pattern) must give
+  // the bits of one call over all rows, for any worker count.
   Xoshiro256 rng(9);
-  const size_t m = 1027, k = 65, n = 10;  // Above the parallel threshold.
+  const size_t m = 1027, k = 65, n = 10;  // Ragged last block.
+  constexpr size_t kBlock = 64;
   std::vector<double> a = Random(m * k, &rng);
   std::vector<double> b = Random(k * n, &rng);
-  std::vector<double> serial(m * n, 0.0);
-  Gemm(a.data(), m, k, b.data(), n, serial.data());
+  std::vector<double> whole(m * n, 0.0);
+  Gemm(a.data(), m, k, b.data(), n, whole.data());
+  const size_t blocks = (m + kBlock - 1) / kBlock;
   for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
     ThreadPool pool(workers);
-    SetParallelPool(&pool);
-    std::vector<double> parallel(m * n, 7.0);
-    Gemm(a.data(), m, k, b.data(), n, parallel.data());
-    SetParallelPool(nullptr);
-    EXPECT_TRUE(BitEqual(serial, parallel)) << workers << " workers";
+    std::vector<double> blocked(m * n, 7.0);
+    pool.ParallelFor(
+        blocks,
+        [&](size_t blk) {
+          const size_t r0 = blk * kBlock;
+          const size_t rows = std::min(kBlock, m - r0);
+          Gemm(a.data() + r0 * k, rows, k, b.data(), n,
+               blocked.data() + r0 * n);
+        },
+        /*grain=*/1);
+    EXPECT_TRUE(BitEqual(whole, blocked)) << workers << " workers";
   }
-  EXPECT_EQ(ParallelPool(), nullptr);
 }
 
 /// Per-row oracle for ScoreCoalitionRows: every coalition's score sum

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "chain/sig_cache.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace bcfl::chain {
 namespace {
@@ -89,20 +87,6 @@ TEST(MerkleTest, AppendMatchesBatchBuildAtEverySize) {
     EXPECT_TRUE(
         MerkleTree::VerifyProof(leaves[i], *proof, incremental.root()))
         << "leaf " << i;
-  }
-}
-
-TEST(MerkleTest, PooledBuildIsBitIdenticalToSerial) {
-  // Large enough to cross the chunking threshold, odd to also hit the
-  // duplicate-last path, for several pool widths including 1.
-  auto leaves = RandomLeaves(1001, 78);
-  MerkleTree serial(leaves);
-  for (size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    SetChainPool(&pool);
-    MerkleTree pooled(leaves);
-    SetChainPool(nullptr);
-    EXPECT_EQ(serial.root(), pooled.root()) << "threads=" << threads;
   }
 }
 

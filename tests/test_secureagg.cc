@@ -106,41 +106,6 @@ TEST(PairwiseMaskingTest, MasksCancelExactlyWithinGroup) {
   EXPECT_EQ(masked_sum, plain_sum);
 }
 
-TEST(PairwiseMaskingTest, PooledMaskUpdateBitIdenticalToSerial) {
-  // Pair masks are expanded into per-peer slots and combined in group
-  // order, so attaching a thread pool of any size must not change a
-  // single ring word.
-  crypto::DiffieHellman dh;
-  Xoshiro256 rng(11);
-  constexpr size_t kN = 6;
-  std::vector<std::unique_ptr<SecureAggParticipant>> parts;
-  for (size_t i = 0; i < kN; ++i) {
-    parts.push_back(std::make_unique<SecureAggParticipant>(
-        static_cast<OwnerId>(i), dh, &rng));
-  }
-  for (auto& p : parts) {
-    for (auto& q : parts) {
-      if (p->id() != q->id()) {
-        ASSERT_TRUE(p->RegisterPeer(q->id(), q->public_key()).ok());
-      }
-    }
-  }
-  std::vector<OwnerId> group = {0, 1, 2, 3, 4, 5};
-  std::vector<uint64_t> update(300);
-  for (auto& v : update) v = rng.Next();
-
-  auto serial = parts[2]->MaskUpdate(5, group, update);
-  ASSERT_TRUE(serial.ok());
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
-    ThreadPool pool(workers);
-    parts[2]->SetPool(&pool);
-    auto pooled = parts[2]->MaskUpdate(5, group, update);
-    parts[2]->SetPool(nullptr);
-    ASSERT_TRUE(pooled.ok());
-    EXPECT_EQ(*pooled, *serial) << workers << " workers";
-  }
-}
-
 TEST(PairwiseMaskingTest, SubgroupMasksCancelOnlyWithinThatGroup) {
   crypto::DiffieHellman dh;
   Xoshiro256 rng(5);

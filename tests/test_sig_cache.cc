@@ -5,7 +5,6 @@
 #include "chain/contract_host.h"
 #include "chain/state.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace bcfl::chain {
 namespace {
@@ -120,7 +119,7 @@ TEST_F(SigCacheHostTest, TamperedTransactionMissesTheCache) {
   EXPECT_EQ(host_->sig_cache().Size(), 1u);
 }
 
-TEST_F(SigCacheHostTest, PreVerifyWithPoolMatchesInline) {
+TEST_F(SigCacheHostTest, PreVerifyThenExecuteMatchesExecute) {
   auto key_a = host_->scheme().GenerateKeyPair(&rng_);
   auto key_b = host_->scheme().GenerateKeyPair(&rng_);
   std::vector<Transaction> txs;
@@ -130,30 +129,28 @@ TEST_F(SigCacheHostTest, PreVerifyWithPoolMatchesInline) {
   }
   txs[3].signature.r = crypto::UInt256(0);  // One invalid tx.
 
-  // Inline baseline.
-  ContractState s_inline;
-  auto r_inline = host_->ExecuteBlock(txs, &s_inline);
-  ASSERT_TRUE(r_inline.ok());
+  // Baseline: execute on a cold cache.
+  ContractState s_direct;
+  auto r_direct = host_->ExecuteBlock(txs, &s_direct);
+  ASSERT_TRUE(r_direct.ok());
 
-  // Fresh host, pooled pre-verification.
-  auto pooled_host = std::make_shared<ContractHost>();
-  ASSERT_TRUE(pooled_host->Register(std::make_shared<PutContract>()).ok());
-  ThreadPool pool(4);
-  SetChainPool(&pool);
-  pooled_host->PreVerifySignatures(txs);
-  EXPECT_EQ(pooled_host->sig_cache().Size(), txs.size() - 1);
-  ContractState s_pooled;
-  auto r_pooled = pooled_host->ExecuteBlock(txs, &s_pooled);
-  SetChainPool(nullptr);
-  ASSERT_TRUE(r_pooled.ok());
+  // Fresh host: pre-verify warms the cache with every valid signature
+  // (the invalid one stays uncached), then execution must not differ.
+  auto warm_host = std::make_shared<ContractHost>();
+  ASSERT_TRUE(warm_host->Register(std::make_shared<PutContract>()).ok());
+  warm_host->PreVerifySignatures(txs);
+  EXPECT_EQ(warm_host->sig_cache().Size(), txs.size() - 1);
+  ContractState s_warm;
+  auto r_warm = warm_host->ExecuteBlock(txs, &s_warm);
+  ASSERT_TRUE(r_warm.ok());
 
-  ASSERT_EQ(r_inline->size(), r_pooled->size());
-  for (size_t i = 0; i < r_inline->size(); ++i) {
-    EXPECT_EQ((*r_inline)[i].success, (*r_pooled)[i].success);
-    EXPECT_EQ((*r_inline)[i].error, (*r_pooled)[i].error);
+  ASSERT_EQ(r_direct->size(), r_warm->size());
+  for (size_t i = 0; i < r_direct->size(); ++i) {
+    EXPECT_EQ((*r_direct)[i].success, (*r_warm)[i].success);
+    EXPECT_EQ((*r_direct)[i].error, (*r_warm)[i].error);
   }
-  EXPECT_EQ(s_inline.StateRoot(), s_pooled.StateRoot());
-  EXPECT_FALSE((*r_pooled)[3].success);
+  EXPECT_EQ(s_direct.StateRoot(), s_warm.StateRoot());
+  EXPECT_FALSE((*r_warm)[3].success);
 }
 
 }  // namespace

@@ -64,6 +64,29 @@ TEST(ThreadPoolTest, ParallelForGrainLargerThanCountRunsInline) {
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i], 1);
 }
 
+TEST(ThreadPoolTest, NestedParallelForRunsInlineOnTheWorker) {
+  // Every worker is busy in the outer loop; an inner call that enqueued
+  // would wait on chunks no worker can pick up.
+  ThreadPool pool(2);
+  const size_t kOuter = 4, kInner = 256;
+  std::vector<std::atomic<int>> counts(kOuter * kInner);
+  std::atomic<bool> inner_on_outer_thread{true};
+  pool.ParallelFor(
+      kOuter,
+      [&](size_t o) {
+        const std::thread::id outer = std::this_thread::get_id();
+        pool.ParallelFor(kInner, [&](size_t i) {
+          counts[o * kInner + i]++;
+          if (std::this_thread::get_id() != outer) {
+            inner_on_outer_thread = false;
+          }
+        });
+      },
+      /*grain=*/1);
+  EXPECT_TRUE(inner_on_outer_thread.load());
+  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
 TEST(ThreadPoolTest, ParallelForThrowingTaskPropagatesAndFinishesRest) {
   ThreadPool pool(4);
   const size_t kN = 256;

@@ -61,46 +61,5 @@ TEST(NegLogLossUtilityTest, TrainedBeatsUntrained) {
   EXPECT_LE(*trained, 0.0);
 }
 
-TEST(CachingUtilityTest, CachesByWeightContent) {
-  ml::Dataset data = TestSet();
-  CachingUtility cached(std::make_unique<TestAccuracyUtility>(data));
-  ml::Matrix w1 = TrainedWeights(data, 5);
-  ml::Matrix w2 = TrainedWeights(data, 10);
-
-  auto u1 = cached.Evaluate(w1);
-  ASSERT_TRUE(u1.ok());
-  EXPECT_EQ(cached.misses(), 1u);
-  EXPECT_EQ(cached.hits(), 0u);
-
-  auto u1_again = cached.Evaluate(w1);
-  ASSERT_TRUE(u1_again.ok());
-  EXPECT_DOUBLE_EQ(*u1_again, *u1);
-  EXPECT_EQ(cached.hits(), 1u);
-  EXPECT_EQ(cached.misses(), 1u);
-
-  ASSERT_TRUE(cached.Evaluate(w2).ok());
-  EXPECT_EQ(cached.misses(), 2u);
-  EXPECT_EQ(cached.cache_size(), 2u);
-
-  // A copy with identical content hits the cache.
-  ml::Matrix w1_copy = w1;
-  ASSERT_TRUE(cached.Evaluate(w1_copy).ok());
-  EXPECT_EQ(cached.hits(), 2u);
-}
-
-TEST(CachingUtilityTest, CacheAgreesWithInner) {
-  ml::Dataset data = TestSet();
-  TestAccuracyUtility inner(data);
-  CachingUtility cached(std::make_unique<TestAccuracyUtility>(data));
-  for (size_t epochs : {1u, 3u, 7u}) {
-    ml::Matrix w = TrainedWeights(data, epochs);
-    auto direct = inner.Evaluate(w);
-    auto via_cache = cached.Evaluate(w);
-    ASSERT_TRUE(direct.ok());
-    ASSERT_TRUE(via_cache.ok());
-    EXPECT_DOUBLE_EQ(*direct, *via_cache);
-  }
-}
-
 }  // namespace
 }  // namespace bcfl::shapley
